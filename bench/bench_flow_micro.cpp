@@ -1,10 +1,13 @@
 // Microbenchmarks for the flow substrate (google-benchmark): SPFA vs
 // Bellman–Ford shortest paths, Dinic vs Edmonds–Karp max flow, min-cost
-// max-flow throughput, and multidimensional augmentation. Not a paper
+// max-flow throughput, and multidimensional augmentation, plus the k8s
+// tick layers outside the solver (expiry step, EHC drain). Not a paper
 // figure; this pins the solver costs the scheduling-level latency numbers
 // (Fig. 12) are built on.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -14,6 +17,8 @@
 #include "flow/multidim.h"
 #include "flow/shortest_path.h"
 #include "flow/workspace.h"
+#include "k8s/adaptor.h"
+#include "k8s/events.h"
 #include "sim/experiment.h"
 #include "trace/arrival.h"
 
@@ -369,6 +374,96 @@ void BM_GroupWaterfallVsDinic(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GroupWaterfallVsDinic)->Arg(0)->Arg(1);
+
+// ------------------------------------------------ k8s tick layers ----
+// The simulator's per-tick bookkeeping in isolation, at the shape of the
+// 10k online workload's steady state.
+
+// Expiry step: 50k bound short-lived pods in 8 batch jobs of 6,250, one of
+// which is due this tick. A job's pods hold consecutive uids, as
+// SubmitBatchJob hands them out. Arg 0 sweeps the whole store (the
+// pre-queue step, kept as the reference); arg 1 takes the adaptor's expiry
+// queue. Both yield the same uid list. The queue arm re-queues the due
+// pods untimed, so every iteration sees the same 6,250 due.
+void BM_ExpiryDue(benchmark::State& state) {
+  constexpr std::int64_t kPods = 50000;
+  constexpr std::int64_t kJobPods = kPods / 8;
+  constexpr std::int64_t kNow = 100;
+  k8s::ModelAdaptor adaptor;
+  for (std::int64_t uid = 1; uid <= kPods; ++uid) {
+    k8s::Event event;
+    event.type = k8s::EventType::kPodAdded;
+    event.pod.uid = uid;
+    event.pod.spec.app = "job-" + std::to_string((uid - 1) / kJobPods);
+    event.pod.spec.lifetime_ticks = 3;
+    event.pod.phase = k8s::PodPhase::kBound;
+    event.pod.node = "node-" + std::to_string(uid % 10000);
+    // Job j was bound at tick kNow - 3 + j: job 0 completes at kNow.
+    event.pod.bound_at_tick = kNow - 3 + (uid - 1) / kJobPods;
+    adaptor.OnEvent(event);
+  }
+  const bool queue = state.range(0) != 0;
+  std::vector<k8s::PodUid> due;
+  for (auto _ : state) {
+    if (queue) {
+      adaptor.TakeExpired(kNow, due);
+    } else {
+      due.clear();
+      for (const auto& [uid, pod] : adaptor.pods()) {
+        if (pod.phase != k8s::PodPhase::kBound || !pod.spec.short_lived()) {
+          continue;
+        }
+        if (pod.bound_at_tick >= 0 &&
+            kNow >= pod.bound_at_tick + pod.spec.lifetime_ticks) {
+          due.push_back(uid);
+        }
+      }
+    }
+    benchmark::DoNotOptimize(due.data());
+    if (queue) {
+      state.PauseTiming();
+      for (const k8s::PodUid uid : due) adaptor.RequeueExpiry(uid);
+      state.ResumeTiming();
+    }
+  }
+  state.counters["due"] = static_cast<double>(due.size());
+}
+BENCHMARK(BM_ExpiryDue)->Arg(0)->Arg(1);
+
+// EHC drain: 16k mixed events — 8k pod adds, 6k deletes of other pods,
+// 2k adds cancelled by a delete in the same batch — coalesced and
+// dispatched to one no-op subscriber. Submitting is untimed.
+void BM_EhcDrain(benchmark::State& state) {
+  std::vector<k8s::Event> batch;
+  Rng rng(11);
+  for (k8s::PodUid uid = 1; uid <= 10000; ++uid) {
+    k8s::Event event;
+    event.type = k8s::EventType::kPodAdded;
+    event.pod.uid = 100000 + uid;
+    batch.push_back(event);
+  }
+  for (k8s::PodUid uid = 1; uid <= 6000; ++uid) {
+    k8s::Event event;
+    event.type = k8s::EventType::kPodDeleted;
+    // The last 2k deletes cancel adds of this batch, the rest are pods
+    // from earlier ticks.
+    event.pod.uid = uid <= 4000 ? uid * 7 : 100000 + (uid - 4000) * 5;
+    batch.push_back(event);
+  }
+  rng.Shuffle(batch);
+  k8s::EventsHandlingCenter ehc;
+  std::size_t seen = 0;
+  ehc.Subscribe([&seen](const k8s::Event&) { ++seen; });
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (const k8s::Event& event : batch) ehc.Submit(event);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(ehc.DrainAndDispatch());
+  }
+  state.counters["dispatched"] = static_cast<double>(
+      ehc.dispatched_total() / std::max<std::int64_t>(state.iterations(), 1));
+}
+BENCHMARK(BM_EhcDrain);
 
 void BM_MultiDimMaxFlow(benchmark::State& state) {
   const auto width = static_cast<std::int64_t>(state.range(0));

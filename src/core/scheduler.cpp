@@ -95,42 +95,36 @@ std::string AladdinScheduler::name() const {
 }
 
 void AladdinScheduler::PrepareWeights(const trace::Workload& workload) {
-  // Fingerprint everything the weight derivation (and the Eq. 5 audit)
-  // reads: per-app priority, per-container request CPU and replica count,
-  // plus the knob itself. Content-hashing (FNV-1a) rather than caching on
-  // the workload address alone means a recycled address can never serve
-  // stale weights. Applications are append-only while a workload is live,
-  // so the common steady-state tick hashes a few thousand small ints —
-  // orders cheaper than re-deriving class ranges and re-auditing Eq. 5.
-  std::uint64_t fp = 1469598103934665603ull;
-  const auto mix = [&fp](std::uint64_t v) {
-    fp ^= v;
-    fp *= 1099511628211ull;
-  };
-  mix(static_cast<std::uint64_t>(options_.weight_base));
-  mix(static_cast<std::uint64_t>(workload.container_count()));
-  for (const cluster::Application& app : workload.applications()) {
-    mix(static_cast<std::uint64_t>(app.priority));
-    mix(static_cast<std::uint64_t>(app.request.cpu_millis()));
-    mix(static_cast<std::uint64_t>(app.containers.size()));
-  }
-  if (weights_ready_ && fp == weights_fingerprint_) {
+  // The weights (and the Eq. 5 audit) read only the Eq. 3 class ranges and
+  // the knob. A workload's tables only grow while its identity holds, and
+  // every new app brings a container, so the ranges are kept with a cursor
+  // over the container table. Nothing new since the last call: the weights
+  // stand.
+  const bool same_workload = workload.instance_id() == weights_workload_id_;
+  if (same_workload && workload.container_count() == weights_containers_) {
     ALADDIN_METRIC_ADD("core/weights_cached", 1);
     return;
   }
   // Eq. 3–5: priority weights. The evaluation's knob is a geometric base;
   // base 0 derives the minimal valid weights from the workload itself.
   ALADDIN_PHASE_SCOPE("core/weights");
+  if (!same_workload) {
+    class_ranges_ = ClassRanges{};
+    weights_containers_ = 0;
+    weights_workload_id_ = workload.instance_id();
+  }
+  ALADDIN_DCHECK(workload.container_count() >= weights_containers_)
+      << "workload container table shrank under its identity";
+  ExtendClassRanges(workload, weights_containers_, class_ranges_);
+  weights_containers_ = workload.container_count();
   weights_ = options_.weight_base > 0
                  ? MakeGeometricWeights(cluster::kPriorityClasses,
                                         options_.weight_base)
-                 : ComputeMinimalWeights(workload);
-  if (!SatisfiesEq5(weights_, workload)) {
+                 : MinimalWeights(class_ranges_);
+  if (!SatisfiesEq5(weights_, class_ranges_)) {
     LOG_WARN << name() << ": weights violate Eq. 5 for this workload; "
              << "priority safety of preemption is not guaranteed";
   }
-  weights_fingerprint_ = fp;
-  weights_ready_ = true;
 }
 
 ALADDIN_HOT sim::ScheduleOutcome AladdinScheduler::Schedule(

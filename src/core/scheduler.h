@@ -113,10 +113,10 @@ class AladdinScheduler : public sim::Scheduler {
   // state's dirty log) when it is still attached to this exact state
   // object, else a freshly attached rebuild.
   AggregatedNetwork& PrepareNetwork(cluster::ClusterState& state);
-  // Eq. 3–5 weights with a content-fingerprint cache: recomputation (and
-  // the Eq. 5 audit) is skipped when the workload's priority/request
-  // population is unchanged — the common case for every request after the
-  // first in a micro-batch and for no-arrival ticks.
+  // Eq. 3–5 weights from class ranges kept incrementally per workload
+  // identity: O(containers added since the last call). With no new
+  // container or app (every request after the first in a micro-batch, and
+  // no-arrival ticks) the weights stand and core/weights_cached counts it.
   void PrepareWeights(const trace::Workload& workload);
   // The per-request pipeline (augment → repair → compact) against an
   // already-prepared network; Schedule() and ScheduleBatch() both land
@@ -130,8 +130,12 @@ class AladdinScheduler : public sim::Scheduler {
 
   AladdinOptions options_;
   PriorityWeights weights_;
-  std::uint64_t weights_fingerprint_ = 0;
-  bool weights_ready_ = false;
+  // Eq. 3 ranges over containers [0, weights_containers_) of the workload
+  // whose instance_id() is weights_workload_id_ (0: none yet; ids start
+  // at 1).
+  ClassRanges class_ranges_{};
+  std::uint64_t weights_workload_id_ = 0;
+  std::size_t weights_containers_ = 0;
 
   // Incremental reuse state: the network survives Schedule() calls; the
   // instance id (not just the address — states are frequently stack- or

@@ -7,32 +7,31 @@ namespace aladdin::core {
 
 namespace {
 
-struct ClassRange {
-  std::int64_t min_flow = std::numeric_limits<std::int64_t>::max();
-  std::int64_t max_flow = 0;
-  bool present = false;
-};
-
-// Eq. 3: bucket flow magnitudes by priority class.
-std::vector<ClassRange> ClassRanges(const trace::Workload& workload) {
-  std::vector<ClassRange> ranges(cluster::kPriorityClasses);
-  for (const auto& c : workload.containers()) {
-    const auto k = static_cast<std::size_t>(
-        std::clamp<cluster::Priority>(c.priority, 0,
-                                      cluster::kPriorityClasses - 1));
-    auto& r = ranges[k];
-    r.present = true;
-    const std::int64_t flow = c.request.cpu_millis();
-    r.min_flow = std::min(r.min_flow, flow);
-    r.max_flow = std::max(r.max_flow, flow);
-  }
+ClassRanges RangesOf(const trace::Workload& workload) {
+  ClassRanges ranges{};
+  ExtendClassRanges(workload, 0, ranges);
   return ranges;
 }
 
 }  // namespace
 
-PriorityWeights ComputeMinimalWeights(const trace::Workload& workload) {
-  const auto ranges = ClassRanges(workload);
+void ExtendClassRanges(const trace::Workload& workload, std::size_t from,
+                       ClassRanges& ranges) {
+  const std::vector<cluster::Container>& containers = workload.containers();
+  for (std::size_t i = from; i < containers.size(); ++i) {
+    const cluster::Container& c = containers[i];
+    const auto k = static_cast<std::size_t>(
+        std::clamp<cluster::Priority>(c.priority, 0,
+                                      cluster::kPriorityClasses - 1));
+    ClassRange& r = ranges[k];
+    r.present = true;
+    const std::int64_t flow = c.request.cpu_millis();
+    r.min_flow = std::min(r.min_flow, flow);
+    r.max_flow = std::max(r.max_flow, flow);
+  }
+}
+
+PriorityWeights MinimalWeights(const ClassRanges& ranges) {
   PriorityWeights weights;
   weights.weight.assign(ranges.size(), 1);  // Eq. 4: w_1 = 1
   std::int64_t prev_weight = 1;
@@ -55,6 +54,10 @@ PriorityWeights ComputeMinimalWeights(const trace::Workload& workload) {
   return weights;
 }
 
+PriorityWeights ComputeMinimalWeights(const trace::Workload& workload) {
+  return MinimalWeights(RangesOf(workload));
+}
+
 PriorityWeights MakeGeometricWeights(int classes, std::int64_t base) {
   PriorityWeights weights;
   weights.weight.reserve(static_cast<std::size_t>(classes));
@@ -68,7 +71,10 @@ PriorityWeights MakeGeometricWeights(int classes, std::int64_t base) {
 
 bool SatisfiesEq5(const PriorityWeights& weights,
                   const trace::Workload& workload) {
-  const auto ranges = ClassRanges(workload);
+  return SatisfiesEq5(weights, RangesOf(workload));
+}
+
+bool SatisfiesEq5(const PriorityWeights& weights, const ClassRanges& ranges) {
   // Compare each present class against the next present class above it.
   std::size_t prev = ranges.size();
   for (std::size_t k = 0; k < ranges.size(); ++k) {

@@ -16,7 +16,9 @@
 // demonstrates.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "trace/workload.h"
@@ -41,9 +43,26 @@ struct PriorityWeights {
   }
 };
 
-// Smallest weights satisfying Eq. 4–5 for this workload: per class k,
-// w_{k+1} = floor(w_k · max(x_k) / min(x_{k+1})) + 1. Classes absent from
-// the workload inherit the previous weight.
+// Eq. 3: the flow magnitudes x(k) of one priority class, as the range the
+// Eq. 5 bounds read.
+struct ClassRange {
+  std::int64_t min_flow = std::numeric_limits<std::int64_t>::max();
+  std::int64_t max_flow = 0;
+  bool present = false;
+};
+using ClassRanges = std::array<ClassRange, cluster::kPriorityClasses>;
+
+// Widens `ranges` by the workload's containers [from, container_count()).
+// Containers are append-only, so a caller that remembers `from` keeps the
+// ranges of a growing workload in O(new containers).
+void ExtendClassRanges(const trace::Workload& workload, std::size_t from,
+                       ClassRanges& ranges);
+
+// Smallest weights satisfying Eq. 4–5 for these class ranges: per class k,
+// w_{k+1} = floor(w_k · max(x_k) / min(x_{k+1})) + 1. Absent classes
+// inherit the previous weight.
+PriorityWeights MinimalWeights(const ClassRanges& ranges);
+// The same for a whole workload.
 PriorityWeights ComputeMinimalWeights(const trace::Workload& workload);
 
 // Geometric weights w_k = base^k — the paper's evaluation settings
@@ -53,6 +72,7 @@ PriorityWeights MakeGeometricWeights(int classes, std::int64_t base);
 // Checks Eq. 5: for every pair of adjacent classes present in the workload,
 // the weighted flow of any class-(k+1) container strictly exceeds that of
 // any class-k container.
+bool SatisfiesEq5(const PriorityWeights& weights, const ClassRanges& ranges);
 bool SatisfiesEq5(const PriorityWeights& weights,
                   const trace::Workload& workload);
 

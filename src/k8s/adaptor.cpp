@@ -28,13 +28,15 @@ void ModelAdaptor::OnEvent(const Event& event) {
         }
         ReindexPhase(pod.uid, it->second.phase, pod.phase);
         it->second = std::move(pod);
+        QueueExpiry(it->second);
         break;
       }
       const PodUid uid = pod.uid;
       const PodPhase phase = pod.phase;
-      pods_.emplace(uid, std::move(pod));
+      const Pod& stored = pods_.emplace(uid, std::move(pod)).first->second;
       if (phase == PodPhase::kPending) pending_index_.insert(uid);
       if (phase == PodPhase::kBound) bound_index_.insert(uid);
+      QueueExpiry(stored);
       pending_materialise_.push_back(uid);
       workload_dirty_ = true;
       break;
@@ -125,12 +127,74 @@ void ModelAdaptor::BindPod(Pod& pod, const std::string& node,
   pod.phase = PodPhase::kBound;
   pod.node = node;
   pod.bound_at_tick = tick;
+  QueueExpiry(pod);
 }
 
 void ModelAdaptor::UnbindPod(Pod& pod) {
   ReindexPhase(pod.uid, pod.phase, PodPhase::kPending);
   pod.phase = PodPhase::kPending;
   pod.node.clear();
+}
+
+void ModelAdaptor::QueueExpiry(const Pod& pod) {
+  if (pod.phase != PodPhase::kBound || !pod.spec.short_lived() ||
+      pod.bound_at_tick < 0) {
+    return;
+  }
+  const auto [it, fresh] =
+      expiry_.try_emplace(pod.bound_at_tick + pod.spec.lifetime_ticks);
+  if (fresh && !spare_buckets_.empty()) {
+    it->second.swap(spare_buckets_.back());
+    spare_buckets_.pop_back();
+  }
+  it->second.push_back(pod.uid);
+}
+
+void ModelAdaptor::TakeExpired(std::int64_t now,
+                               std::vector<PodUid>& expired) {
+  expired.clear();
+  while (!expiry_.empty() && expiry_.begin()->first <= now) {
+    std::vector<PodUid>& bucket = expiry_.begin()->second;
+    expired.insert(expired.end(), bucket.begin(), bucket.end());
+    bucket.clear();
+    spare_buckets_.push_back(std::move(bucket));
+    expiry_.erase(expiry_.begin());
+  }
+  // A bucket fills in bind order, which reconcile makes uid-ascending.
+  if (!std::is_sorted(expired.begin(), expired.end())) {
+    std::sort(expired.begin(), expired.end());
+  }
+  expired.erase(std::unique(expired.begin(), expired.end()), expired.end());
+  // Re-check each due uid against the store with the test a full sweep
+  // applies, re-queueing pods whose completion moved past `now`. The uids
+  // ascend, so the store is walked forward as a finger: a few ++ steps
+  // cover the dense case (one job's pods share a completion tick and hold
+  // consecutive uids), lower_bound the rest.
+  std::size_t kept = 0;
+  auto it = pods_.begin();
+  for (const PodUid uid : expired) {
+    for (int step = 0; step < 8 && it != pods_.end() && it->first < uid;
+         ++step) {
+      ++it;
+    }
+    if (it != pods_.end() && it->first < uid) it = pods_.lower_bound(uid);
+    if (it == pods_.end() || it->first != uid) continue;
+    const Pod& pod = it->second;
+    if (pod.phase != PodPhase::kBound || !pod.spec.short_lived() ||
+        pod.bound_at_tick < 0) {
+      continue;
+    }
+    if (now >= pod.bound_at_tick + pod.spec.lifetime_ticks) {
+      expired[kept++] = uid;
+    } else {
+      QueueExpiry(pod);
+    }
+  }
+  expired.resize(kept);
+}
+
+void ModelAdaptor::RequeueExpiry(PodUid uid) {
+  if (const Pod* pod = FindPod(uid)) QueueExpiry(*pod);
 }
 
 // Either accessor syncs both views: the translation tables (ContainerOf,

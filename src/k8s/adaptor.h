@@ -48,7 +48,10 @@ class ModelAdaptor {
   [[nodiscard]] const Pod* FindPod(PodUid uid) const;
   // Callers may mutate any field EXCEPT `phase` through this pointer: the
   // pending/bound indices are keyed on it, so phase transitions must go
-  // through BindPod()/UnbindPod() (or an OnEvent).
+  // through BindPod()/UnbindPod() (or an OnEvent). `bound_at_tick` and
+  // `spec.lifetime_ticks` may only grow: the expiry queue re-checks a pod
+  // at its queued completion tick, which finds a later completion but
+  // would miss an earlier one.
   Pod* MutablePod(PodUid uid);
   [[nodiscard]] std::size_t pod_count() const { return pods_.size(); }
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
@@ -60,10 +63,24 @@ class ModelAdaptor {
   // (one ordered scan instead of a uid list plus a FindPod per entry).
   [[nodiscard]] const std::map<PodUid, Pod>& pods() const { return pods_; }
 
-  // Phase transitions, keeping the pending/bound indices in sync. The pod
-  // reference must point into this adaptor's store.
+  // Phase transitions, keeping the pending/bound indices (and, for
+  // short-lived pods, the expiry queue) in sync. The pod reference must
+  // point into this adaptor's store.
   void BindPod(Pod& pod, const std::string& node, std::int64_t tick);
   void UnbindPod(Pod& pod);
+
+  // --- short-lived expiry ---------------------------------------------
+  // Replaces `expired` with the bound short-lived pods whose lifetime has
+  // elapsed by `now` (now >= bound_at_tick + lifetime_ticks), uid-ascending
+  // — what a sweep of the whole store would find, in its order. Cost is
+  // O(due entries), not O(store): the adaptor queues (completion tick, uid)
+  // in per-tick buckets, pushed by BindPod and by every kPodAdded that
+  // stores a bound short-lived pod. A due entry whose pod is gone or
+  // unbound is dropped; one whose bound_at_tick moved later is re-queued.
+  void TakeExpired(std::int64_t now, std::vector<PodUid>& expired);
+  // Re-queues `uid` if it is still a bound short-lived pod: for a pod
+  // TakeExpired returned whose deletion was then coalesced away.
+  void RequeueExpiry(PodUid uid);
 
   // --- scheduling-side snapshot (lazily synced) -----------------------
   const trace::Workload& workload();
@@ -95,6 +112,8 @@ class ModelAdaptor {
   void RetireContainer(PodUid uid);
   // Moves `uid` between the pending/bound indices on a phase change.
   void ReindexPhase(PodUid uid, PodPhase from, PodPhase to);
+  // Queues `pod`'s completion tick if it is bound, short-lived and stamped.
+  void QueueExpiry(const Pod& pod);
 
   std::map<PodUid, Pod> pods_;          // ordered: deterministic scans
   std::map<std::string, Node> nodes_;
@@ -102,6 +121,11 @@ class ModelAdaptor {
   // the deterministic ascending order without rescanning the whole store.
   std::set<PodUid> pending_index_;
   std::set<PodUid> bound_index_;
+  // Expiry queue: completion tick -> uids queued for it, in queue order.
+  // May hold duplicates and stale entries, which TakeExpired filters.
+  // Drained buckets go to spare_buckets_ so their capacity is reused.
+  std::map<std::int64_t, std::vector<PodUid>> expiry_;
+  std::vector<std::vector<PodUid>> spare_buckets_;
 
   bool topology_dirty_ = true;
   bool workload_dirty_ = false;

@@ -2,16 +2,20 @@
 // changes in the LLAs' life-cycles and resources. Then, it forwards
 // pre-processed events to [the model adaptor]".
 //
-// Pre-processing here means coalescing: an object added and deleted while
-// still queued cancels out, duplicate updates collapse to the latest, and
-// dispatch order is stable (FIFO over surviving events). Subscribers see a
+// Pre-processing here means coalescing, per object (pod uid or node name)
+// over one drained batch:
+//   * adds and deletes of one object in the same batch cancel out — every
+//     event of that object is dropped;
+//   * several adds collapse to the last one (the latest state wins);
+//   * several deletes collapse to the first one.
+// Dispatch order is stable (FIFO over surviving events). Subscribers see a
 // clean, minimal stream.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "k8s/objects.h"
@@ -46,7 +50,8 @@ class EventsHandlingCenter {
   void Submit(Event event);
 
   // Coalesce the queue, dispatch surviving events to subscribers, and
-  // return how many were dispatched.
+  // return how many were dispatched. O(queued · log queued): coalescing
+  // sorts the batch by object, no hashing. Handlers must not Submit.
   std::size_t DrainAndDispatch();
 
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
@@ -58,8 +63,13 @@ class EventsHandlingCenter {
   }
 
  private:
-  std::deque<Event> queue_;
+  std::vector<Event> queue_;
   std::vector<Handler> handlers_;
+  // Drain scratch, capacity kept across ticks: (object, queue index) keys
+  // sorted to group each object's events, and the survivor mask.
+  std::vector<std::pair<PodUid, std::uint32_t>> pod_keys_;
+  std::vector<std::pair<const std::string*, std::uint32_t>> node_keys_;
+  std::vector<char> keep_;
   std::int64_t dispatched_total_ = 0;
   std::int64_t coalesced_total_ = 0;
 };

@@ -196,6 +196,7 @@ void Resolver::TrackArrivals(const std::vector<PodUid>& pending,
                              const cluster::ClusterState& state,
                              std::int64_t tick) {
   if (!options_.lifecycle) return;
+  ALADDIN_PHASE_SCOPE("k8s/lifecycle");
   slo_.BeginTick(tick);
   for (PodUid uid : pending) {
     const cluster::ContainerId c = adaptor_.ContainerOf(uid);
@@ -214,7 +215,8 @@ void Resolver::FinishLifecycle(ResolveStats& stats,
                                std::int64_t tick, std::int64_t solve_cost,
                                std::int64_t solve_wall_micros) {
   if (!options_.lifecycle) return;
-  // Once-per-tick summary work, O(tracked spans + apps), never per-pod.
+  ALADDIN_PHASE_SCOPE("k8s/lifecycle");
+  // Once-per-tick summary work, O(open spans + apps), never per-pod.
   stats.pending_ages =
       obs::SummarizePendingAges(ledger_.PendingAgeCounts(tick));
   stats.slo = slo_.Snapshot(kSloSnapshotAppRows);

@@ -160,6 +160,7 @@ class Resolver {
 
   // Opens lifecycle spans (and interns app names with the SLO engine) for
   // pending pods not already tracked. Serial section; journals kPodArrived.
+  // Runs in the exclusive k8s/lifecycle phase, like FinishLifecycle.
   void TrackArrivals(const std::vector<PodUid>& pending,
                      const cluster::ClusterState& state, std::int64_t tick);
   // Shared lifecycle epilogue of both arms: pending-age summary, SLO
@@ -167,7 +168,9 @@ class Resolver {
   // publish for /statusz + /slo + /alertz. Expects
   // stats.unschedulable_causes to be filled already (the cause-mix
   // detector's input). `solve_cost` is the tick's deterministic solve
-  // effort; `solve_wall_micros` is wall-clock evidence only.
+  // effort; `solve_wall_micros` is wall-clock evidence only. O(open spans +
+  // apps) per tick: the ledger walks only its open-span index, the SLO
+  // snapshot selects its top rows without sorting every app.
   void FinishLifecycle(ResolveStats& stats,
                        const cluster::ClusterState& state, std::int64_t tick,
                        std::int64_t solve_cost,

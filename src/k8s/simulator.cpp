@@ -122,18 +122,20 @@ ResolveStats ClusterSimulator::Tick(std::vector<Binding>* bindings) {
     // resolver, kept exclusive so the tick breakdown separates event
     // handling from scheduling.
     ALADDIN_PHASE_SCOPE("k8s/events");
-    // One uid-ascending sweep of the store (same visit order as the old
-    // BoundPods() + FindPod-per-uid pair). DeletePod only queues an event,
-    // so the store is not mutated until the drain below.
-    for (const auto& [uid, pod] : adaptor_.pods()) {
-      if (pod.phase != PodPhase::kBound || !pod.spec.short_lived()) continue;
-      if (pod.bound_at_tick >= 0 &&
-          now_ >= pod.bound_at_tick + pod.spec.lifetime_ticks) {
-        ++completed_tasks_;
-        DeletePod(uid);
-      }
+    // Due pods come uid-ascending, so deletions queue in a deterministic
+    // order. DeletePod only queues an event; the store changes in the drain.
+    adaptor_.TakeExpired(now_, expired_);
+    for (const PodUid uid : expired_) {
+      ++completed_tasks_;
+      DeletePod(uid);
     }
+    const std::int64_t coalesced_before = ehc_.coalesced_total();
     ehc_.DrainAndDispatch();
+    // A deletion coalesced away (an update of the same pod in this batch
+    // cancels it) leaves the pod bound and expired: due again next tick.
+    if (ehc_.coalesced_total() != coalesced_before) {
+      for (const PodUid uid : expired_) adaptor_.RequeueExpiry(uid);
+    }
   }
   ResolveStats stats = resolver_.Resolve(now_, bindings);
   ALADDIN_METRIC_GAUGE_SET("k8s/pods_pending",

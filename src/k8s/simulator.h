@@ -82,6 +82,7 @@ class ClusterSimulator {
   PodUid next_uid_ = 1;
   std::int64_t node_counter_ = 0;
   std::int64_t completed_tasks_ = 0;
+  std::vector<PodUid> expired_;  // per-tick scratch, capacity kept
   std::vector<ResolveStats> history_;
 };
 

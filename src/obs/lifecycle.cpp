@@ -67,6 +67,7 @@ void LifecycleLedger::OnArrival(std::int32_t container, std::int32_t app,
   span.last_cause = Cause::kNone;
   span.slo_flagged = false;
   ++open_spans_;
+  open_index_.push_back(container);
   if (JournalEnabled()) {
     EmitDecision(DecisionKind::kEvent, Cause::kPodArrived, container,
                  /*machine=*/-1, /*other=*/app, /*detail=*/span.epoch);
@@ -110,6 +111,25 @@ void LifecycleLedger::OnRetired(std::int32_t container, std::int64_t tick) {
   span->state = SpanState::kRetired;
 }
 
+void LifecycleLedger::CompactOpenIndex() const {
+  // The queries visit open spans container-ascending: their tie-breaks and
+  // outputs depend on that order.
+  open_index_.erase(
+      std::remove_if(open_index_.begin(), open_index_.end(),
+                     [this](std::int32_t c) {
+                       return spans_[static_cast<std::size_t>(c)].state !=
+                              SpanState::kPending;
+                     }),
+      open_index_.end());
+  if (!std::is_sorted(open_index_.begin(), open_index_.end())) {
+    std::sort(open_index_.begin(), open_index_.end());
+  }
+  open_index_.erase(std::unique(open_index_.begin(), open_index_.end()),
+                    open_index_.end());
+  ALADDIN_DCHECK(open_index_.size() == open_spans_)
+      << "open-span index out of sync with the ledger";
+}
+
 std::vector<PendingRow> LifecycleLedger::OldestPending(
     std::int64_t now, std::size_t limit) const {
   // analyze:allow(A102) once-per-tick table, bounded by `limit`
@@ -122,8 +142,9 @@ std::vector<PendingRow> LifecycleLedger::OldestPending(
     }
     return a.container < b.container;
   };
-  for (const LifecycleSpan& span : spans_) {
-    if (span.state != SpanState::kPending) continue;
+  CompactOpenIndex();
+  for (const std::int32_t c : open_index_) {
+    const LifecycleSpan& span = spans_[static_cast<std::size_t>(c)];
     PendingRow row;
     row.container = span.container;
     row.app = span.app;
@@ -157,8 +178,9 @@ std::vector<std::int64_t> LifecycleLedger::PendingAgeCounts(
     std::int64_t now) const {
   // analyze:allow(A102) once-per-tick histogram, bounded by the max age
   std::vector<std::int64_t> counts;
-  for (const LifecycleSpan& span : spans_) {
-    if (span.state != SpanState::kPending) continue;
+  CompactOpenIndex();
+  for (const std::int32_t c : open_index_) {
+    const LifecycleSpan& span = spans_[static_cast<std::size_t>(c)];
     const std::int64_t age = span.PendingAge(now);
     if (age < 0) continue;  // defensive: arrival in the future
     const auto slot = static_cast<std::size_t>(age);

@@ -110,13 +110,14 @@ class LifecycleLedger {
   [[nodiscard]] std::size_t tracked() const { return spans_.size(); }
 
   // The `limit` oldest open spans, ordered by (arrival_tick, container) —
-  // deterministic ties — as /statusz table rows. O(tracked · log limit).
+  // deterministic ties — as /statusz table rows. O(open · log limit) plus
+  // the open-span index upkeep (see open_index_).
   [[nodiscard]] std::vector<PendingRow> OldestPending(std::int64_t now,
                                                       std::size_t limit) const;
 
   // Exact pending-age counts at the end of `now`: result[age] = number of
   // open spans whose PendingAge(now) == age. Basis for the per-tick
-  // pending-age percentiles in ResolveStats.
+  // pending-age percentiles in ResolveStats. O(open), like OldestPending.
   [[nodiscard]] std::vector<std::int64_t> PendingAgeCounts(
       std::int64_t now) const;
 
@@ -129,11 +130,19 @@ class LifecycleLedger {
 
  private:
   LifecycleSpan& Slot(std::int32_t container);
+  // Drops closed spans and duplicates from open_index_ and restores its
+  // ascending order; afterwards it lists exactly the open spans.
+  void CompactOpenIndex() const;
 
   // Dense by container id: ids are small ints assigned in arrival order, so
   // a vector keeps iteration deterministic (analyzer rule D1) and O(1).
   std::vector<LifecycleSpan> spans_;
   std::size_t open_spans_ = 0;
+  // Containers whose span opened since the last compaction, plus the open
+  // ones before it: a superset of the open spans, so the per-tick queries
+  // walk O(open + arrivals) entries instead of every tracked span. Mutable:
+  // compaction changes no observable state.
+  mutable std::vector<std::int32_t> open_index_;
   // Re-opens since the last TakeReopens: dense count by app plus the list
   // of touched apps (kept so the drain is proportional to activity).
   std::vector<std::int64_t> reopen_counts_;

@@ -232,33 +232,44 @@ SloSnapshot SloEngine::Snapshot(std::size_t app_rows) const {
                           static_cast<double>(good + bad)) /
                              budget;
 
+  // Worst-first, deterministic ties: most violations, then most admitted
+  // (busiest), then app id. A bounded heap keeps the worst `app_rows` apps
+  // (its top is the mildest kept row, the next to evict), so names and
+  // percentiles are built for those rows alone.
+  const auto worse = [](const SloAppRow& a, const SloAppRow& b) {
+    if (a.violations != b.violations) return a.violations > b.violations;
+    if (a.admitted != b.admitted) return a.admitted > b.admitted;
+    return a.app < b.app;
+  };
   for (std::size_t i = 0; i < apps_.size(); ++i) {
     const AppSlo& app = apps_[i];
     if (app.admitted == 0 && app.violations == 0) continue;
     ++snap.apps_total;
+    if (app_rows == 0) continue;
     SloAppRow row;
     row.app = static_cast<std::int32_t>(i);
-    row.name = i < app_names_.size() ? app_names_[i] : std::string{};
     row.admitted = app.admitted;
-    row.within = app.within;
     row.violations = app.violations;
+    if (snap.apps.size() == app_rows) {
+      if (!worse(row, snap.apps.front())) continue;
+      std::pop_heap(snap.apps.begin(), snap.apps.end(), worse);
+      snap.apps.back() = std::move(row);
+    } else {
+      snap.apps.push_back(std::move(row));
+    }
+    std::push_heap(snap.apps.begin(), snap.apps.end(), worse);
+  }
+  std::sort_heap(snap.apps.begin(), snap.apps.end(), worse);
+  for (SloAppRow& row : snap.apps) {
+    const auto i = static_cast<std::size_t>(row.app);
+    const AppSlo& app = apps_[i];
+    row.name = i < app_names_.size() ? app_names_[i] : std::string{};
+    row.within = app.within;
     row.wait_max = app.wait_max;
     row.p50 = PercentileFromCounts(app.wait_counts, 1, 2);
     row.p99 = PercentileFromCounts(app.wait_counts, 99, 100);
     row.p999 = PercentileFromCounts(app.wait_counts, 999, 1000);
-    snap.apps.push_back(std::move(row));
   }
-  // Worst-first, deterministic ties: most violations, then most admitted
-  // (busiest), then app id.
-  std::sort(snap.apps.begin(), snap.apps.end(),
-            [](const SloAppRow& a, const SloAppRow& b) {
-              if (a.violations != b.violations) {
-                return a.violations > b.violations;
-              }
-              if (a.admitted != b.admitted) return a.admitted > b.admitted;
-              return a.app < b.app;
-            });
-  if (snap.apps.size() > app_rows) snap.apps.resize(app_rows);
 
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     SloShardRow row;

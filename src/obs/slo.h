@@ -120,7 +120,8 @@ class SloEngine {
   void ObservePending(LifecycleSpan& span, std::int64_t now);
 
   // Snapshot with at most `app_rows` per-app rows, ordered worst-first
-  // (violations desc, admitted desc, app asc — deterministic).
+  // (violations desc, admitted desc, app asc — deterministic). O(apps ·
+  // log app_rows); only the kept rows get names and percentiles.
   [[nodiscard]] SloSnapshot Snapshot(std::size_t app_rows) const;
 
   [[nodiscard]] std::int64_t admitted() const { return admitted_; }

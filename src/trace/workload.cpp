@@ -1,8 +1,45 @@
 #include "trace/workload.h"
 
+#include <atomic>
+#include <utility>
+
 #include "common/check.h"
 
 namespace aladdin::trace {
+
+std::uint64_t Workload::NextInstanceId() {
+  static std::atomic<std::uint64_t> counter{0};
+  return ++counter;
+}
+
+Workload::Workload(const Workload& other)
+    : applications_(other.applications_),
+      containers_(other.containers_),
+      constraints_(other.constraints_) {}
+
+Workload& Workload::operator=(const Workload& other) {
+  if (this == &other) return *this;
+  applications_ = other.applications_;
+  containers_ = other.containers_;
+  constraints_ = other.constraints_;
+  instance_id_ = NextInstanceId();
+  return *this;
+}
+
+Workload::Workload(Workload&& other) noexcept
+    : applications_(std::move(other.applications_)),
+      containers_(std::move(other.containers_)),
+      constraints_(std::move(other.constraints_)),
+      instance_id_(std::exchange(other.instance_id_, NextInstanceId())) {}
+
+Workload& Workload::operator=(Workload&& other) noexcept {
+  if (this == &other) return *this;
+  applications_ = std::move(other.applications_);
+  containers_ = std::move(other.containers_);
+  constraints_ = std::move(other.constraints_);
+  instance_id_ = std::exchange(other.instance_id_, NextInstanceId());
+  return *this;
+}
 
 cluster::ApplicationId Workload::AddApplication(
     std::string name, std::size_t count, cluster::ResourceVector request,
@@ -65,6 +102,7 @@ cluster::ClusterState Workload::MakeState(
 }
 
 void Workload::ProjectCpuOnly() {
+  instance_id_ = NextInstanceId();  // rewrites rows in place, not growth
   for (auto& c : containers_) c.request = c.request.CpuOnly();
   for (auto& a : applications_) a.request = a.request.CpuOnly();
 }

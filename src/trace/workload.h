@@ -3,6 +3,7 @@
 // reference.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,18 @@ namespace aladdin::trace {
 class Workload {
  public:
   Workload() = default;
+  // Copies are distinct workloads (fresh instance_id()); a move hands the
+  // identity to the target and gives the source a fresh one.
+  Workload(const Workload& other);
+  Workload& operator=(const Workload& other);
+  Workload(Workload&& other) noexcept;
+  Workload& operator=(Workload&& other) noexcept;
+
+  // Process-unique identity. Tables only grow while it holds (ids are
+  // append-only), so a consumer that caches per-container work keys it on
+  // (instance_id(), container_count()): a different workload — even one
+  // built at a recycled address — never reuses another's cache.
+  [[nodiscard]] std::uint64_t instance_id() const { return instance_id_; }
 
   // Adds an application with `count` isomorphic containers. Returns its id.
   cluster::ApplicationId AddApplication(std::string name, std::size_t count,
@@ -66,13 +79,17 @@ class Workload {
       const cluster::Topology& topology) const;
 
   // Drops the memory dimension of every request (the evaluation's CPU-only
-  // mode for a fair comparison with Firmament, §V.A).
+  // mode for a fair comparison with Firmament, §V.A). Takes a fresh
+  // instance_id(): the tables changed other than by growth.
   void ProjectCpuOnly();
 
  private:
+  static std::uint64_t NextInstanceId();
+
   std::vector<cluster::Application> applications_;
   std::vector<cluster::Container> containers_;
   cluster::ConstraintSet constraints_;
+  std::uint64_t instance_id_ = NextInstanceId();
 };
 
 }  // namespace aladdin::trace

@@ -97,6 +97,25 @@ TEST(Ehc, DuplicateAddsCollapse) {
   ehc.Submit(PodAdded(MakePod(1, "a", ResourceVector::Cores(1, 2))));
   EXPECT_EQ(ehc.DrainAndDispatch(), 1u);
   EXPECT_EQ(seen, 1);
+
+  // Adds that differ: the latest state wins, not the first.
+  std::vector<Pod> delivered;
+  ehc.Subscribe([&](const Event& e) { delivered.push_back(e.pod); });
+  Pod pending = MakePod(2, "a", ResourceVector::Cores(1, 2));
+  Pod bound = pending;
+  bound.phase = PodPhase::kBound;
+  bound.node = "n1";
+  bound.bound_at_tick = 3;
+  ehc.Submit(PodAdded(pending));
+  ehc.Submit(PodAdded(MakePod(9, "b", ResourceVector::Cores(1, 2))));
+  ehc.Submit(PodAdded(bound));
+  EXPECT_EQ(ehc.DrainAndDispatch(), 2u);
+  ASSERT_EQ(delivered.size(), 2u);
+  EXPECT_EQ(delivered[0].uid, 9);
+  EXPECT_EQ(delivered[1].uid, 2);
+  EXPECT_EQ(delivered[1].phase, PodPhase::kBound);
+  EXPECT_EQ(delivered[1].node, "n1");
+  EXPECT_EQ(delivered[1].bound_at_tick, 3);
 }
 
 TEST(Ehc, NodeAddRemoveCancels) {
