@@ -5,10 +5,10 @@
 // range even as the cluster fills; this bench reports per-tick resolver
 // wall time, binding throughput, and end-state placement quality.
 //
-// --incremental=false runs the historical rebuild-per-tick resolver (the
-// A/B baseline); --json=PATH emits a BENCH_*.json for tools/perf_compare.py.
-// Both modes bind the same pods to the same nodes — the final audit line
-// is the witness.
+// --json=PATH emits a BENCH_*.json for tools/perf_compare.py, whose count
+// metrics (bindings, audit numbers, obs counters) CI identity-checks across
+// configurations that must not change a placement: shards 0 vs 1,
+// whole-tick batching, the watchdog.
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -40,7 +40,9 @@ namespace {
 
 // Post-hoc placement audit: rebuild a ClusterState from the adaptor's final
 // snapshot (bound pods deployed) and recount violations from scratch, so
-// the number is independent of any resolver-internal state.
+// the number is independent of any resolver-internal state. Containers
+// whose pod is gone (completed batch tasks, deleted pods) are tombstones,
+// not scheduler failures: the audit reports them as retired.
 cluster::AuditReport AuditFinalState(k8s::ModelAdaptor& adaptor) {
   cluster::ClusterState state =
       adaptor.workload().MakeState(adaptor.topology());
@@ -48,7 +50,9 @@ cluster::AuditReport AuditFinalState(k8s::ModelAdaptor& adaptor) {
     const k8s::Pod* pod = adaptor.FindPod(uid);
     state.Deploy(adaptor.ContainerOf(uid), adaptor.MachineOf(pod->node));
   }
-  return cluster::Audit(state);
+  return cluster::Audit(state, [&adaptor](cluster::ContainerId c) {
+    return adaptor.PodOfContainer(c) < 0;
+  });
 }
 
 // Cluster occupancy recomputed from the adaptor snapshot for --timeseries:
@@ -94,9 +98,6 @@ int main(int argc, char** argv) {
   auto& batch_wave = flags.Int64("batch_wave", 120,
                                  "batch tasks submitted per tick");
   auto& seed = flags.Int64("seed", 42, "workload seed");
-  auto& incremental = flags.Bool("incremental", true,
-                                 "reuse scheduling state across ticks "
-                                 "(false = rebuild-per-tick baseline)");
   auto& threads = flags.Int64("threads", 0,
                               "search threads (0 = hardware concurrency, "
                               "1 = serial); with --shards this is the "
@@ -136,7 +137,6 @@ int main(int argc, char** argv) {
   k8s::ResolverOptions options;
   options.aladdin = k8s::Resolver::DefaultOptions();
   options.aladdin.threads = static_cast<int>(threads);
-  options.incremental = incremental;
   options.shards = static_cast<int>(shards);
   options.routing = core::ShardRoutingFromName(routing);
   if (options.routing == core::ShardRouting::kCount) {
@@ -405,16 +405,17 @@ int main(int argc, char** argv) {
               static_cast<long long>(sim.completed_tasks()),
               static_cast<long long>(sim.now()));
 
-  // Placement-quality witness for the incremental/parallel A/B: identical
-  // scheduling decisions give identical audit numbers.
+  // Placement-quality witness: identical scheduling decisions give
+  // identical audit numbers.
   const cluster::AuditReport audit = AuditFinalState(sim.adaptor());
   std::printf("audit: %zu containers, %zu placed, %zu unplaced "
               "(%zu resources, %zu anti-affinity, %zu scheduler), "
-              "%zu colocation violations, violation%%=%.3f\n",
+              "%zu colocation violations, violation%%=%.3f; "
+              "%zu retired\n",
               audit.total_containers, audit.placed, audit.unplaced,
               audit.unplaced_resources, audit.unplaced_anti_affinity,
               audit.unplaced_scheduler, audit.colocation_violations,
-              audit.ViolationPercent());
+              audit.ViolationPercent(), audit.retired);
 
   BenchJson out("online");
   {
@@ -423,7 +424,6 @@ int main(int argc, char** argv) {
     out.Tag("lla_wave", lla_wave);
     out.Tag("batch_wave", batch_wave);
     out.Tag("seed", seed);
-    out.Tag("mode", incremental ? "incremental" : "rebuild");
     out.Tag("threads", threads);
     out.Tag("shards", shards);
     if (shards > 0) out.Tag("routing", routing);
@@ -447,6 +447,7 @@ int main(int argc, char** argv) {
                "count");
     out.Metric("audit_placed", static_cast<double>(audit.placed), "count");
     out.Metric("audit_unplaced", static_cast<double>(audit.unplaced), "count");
+    out.Metric("audit_retired", static_cast<double>(audit.retired), "count");
     out.Metric("audit_colocation_violations",
                static_cast<double>(audit.colocation_violations), "count");
     if (obs::IntrospectionPublished()) {

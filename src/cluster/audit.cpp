@@ -50,7 +50,8 @@ std::vector<ContainerId> CollectColocationViolations(
   return offenders;
 }
 
-AuditReport Audit(const ClusterState& state) {
+AuditReport Audit(const ClusterState& state,
+                  const std::function<bool(ContainerId)>& retired) {
   AuditReport report;
   const auto& containers = state.containers();
   report.total_containers = containers.size();
@@ -71,6 +72,11 @@ AuditReport Audit(const ClusterState& state) {
   for (const Container& c : containers) {
     if (state.IsPlaced(c.id)) {
       ++report.placed;
+      continue;
+    }
+    if (retired && retired(c.id)) {
+      --report.total_containers;
+      ++report.retired;
       continue;
     }
     ++report.unplaced;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "cluster/state.h"
@@ -32,6 +33,10 @@ struct AuditReport {
   std::size_t unplaced_resources = 0;
   std::size_t unplaced_anti_affinity = 0;
   std::size_t unplaced_scheduler = 0;
+
+  // Unplaced containers the caller marked retired (tombstones whose owner
+  // is gone). Left out of total_containers and of every count above.
+  std::size_t retired = 0;
 
   // Containers placed in violation of an anti-affinity rule (each offending
   // container counted once).
@@ -62,8 +67,11 @@ struct AuditReport {
 };
 
 // Full audit of a final state. O(placed + unplaced·scan) where the per-
-// unplaced scan terminates at the first feasible machine.
-AuditReport Audit(const ClusterState& state);
+// unplaced scan terminates at the first feasible machine. An unplaced
+// container for which `retired` returns true is counted only in
+// AuditReport::retired.
+AuditReport Audit(const ClusterState& state,
+                  const std::function<bool(ContainerId)>& retired = {});
 
 // Lists each placed container that violates an anti-affinity rule (for
 // debugging and the property tests).

@@ -71,8 +71,7 @@ AggregatedNetwork& AladdinScheduler::PrepareNetwork(
   // recycled, so an address match alone could alias a dead state), with the
   // bound topology unchanged in size.
   const bool reusable =
-      options_.incremental_network && network_ != nullptr &&
-      network_->state() == &state &&
+      network_ != nullptr && network_->state() == &state &&
       attached_state_id_ == state.instance_id();
   if (reusable) {
     network_->Sync();

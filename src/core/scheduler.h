@@ -57,14 +57,6 @@ struct AladdinOptions {
   // (keeps Fig. 13(b) in the paper's ~1.7 % regime).
   double compaction_migration_fraction = 0.02;
 
-  // Incremental network reuse: keep the aggregated s→T→A→G→R→N→t network
-  // alive across Schedule() calls against the same ClusterState, replaying
-  // the state's dirty log instead of rebuilding — placements are
-  // bit-identical to a fresh rebuild (memoised IL failures stay valid only
-  // while a machine's change epoch is unchanged). Off reproduces the
-  // rebuild-per-call behaviour, mainly for A/B tests and benchmarks.
-  bool incremental_network = true;
-
   // Worker threads for the admissible-path search. 0 = hardware
   // concurrency, 1 = serial (no pool). Any value yields identical
   // placements and search counters — see SearchOptions::pool.
@@ -137,9 +129,11 @@ class AladdinScheduler : public sim::Scheduler {
   std::uint64_t weights_workload_id_ = 0;
   std::size_t weights_containers_ = 0;
 
-  // Incremental reuse state: the network survives Schedule() calls; the
-  // instance id (not just the address — states are frequently stack- or
-  // optional-allocated) proves the attached state is still the same one.
+  // Incremental reuse state: the network survives Schedule() calls,
+  // replaying the state's dirty log — placements are bit-identical to a
+  // fresh engine's rebuild. The instance id (not just the address — states
+  // are frequently stack- or optional-allocated) proves the attached state
+  // is still the same one.
   std::unique_ptr<AggregatedNetwork> network_;
   std::uint64_t attached_state_id_ = 0;
   std::unique_ptr<ThreadPool> pool_;

@@ -11,15 +11,15 @@
 // The resulting placement diff is translated back into Bindings (new
 // placements and migrations) and pod-phase updates.
 //
-// By default the resolver is *incremental*: one ClusterState (plus the
-// Aladdin scheduler's aggregated network and the task scheduler's free
-// index) lives across Resolve() calls, synced from the adaptor's
-// retired-container journal and the state's own dirty log — so a tick's
-// cost scales with the churn, not the cluster. A topology change (node
-// add/remove renumbers machines) falls back to a full rebuild, keyed on
-// ModelAdaptor::topology_version(). `incremental = false` reproduces the
-// historical rebuild-everything-per-tick path; both modes produce
-// identical placements, which the equivalence tests pin down.
+// The resolver is *incremental*: one ClusterState (plus the Aladdin
+// scheduler's aggregated network and the task scheduler's free index)
+// lives across Resolve() calls, synced from the adaptor's retired-container
+// journal and the state's own dirty log — so a tick's cost scales with the
+// churn, not the cluster. The first Resolve() and every topology change
+// (node add/remove renumbers machines, keyed on
+// ModelAdaptor::topology_version()) build the state from scratch instead.
+// A fresh Resolver per tick is therefore the rebuild oracle: the
+// equivalence tests pin identical bindings against it.
 #pragma once
 
 #include <cstdint>
@@ -72,18 +72,15 @@ struct ResolveStats {
   // size histogram.
   std::vector<std::size_t> batch_sizes;
 
-  // Lifecycle / SLO view after this resolve (ResolverOptions::lifecycle).
-  // Exact tick integers mutated only from serial sections, so both are
-  // bit-identical across thread counts and across shards 0/1 — the same
-  // determinism bar as the journal.
+  // Lifecycle / SLO view after this resolve. Exact tick integers mutated
+  // only from serial sections, so both are bit-identical across thread
+  // counts and across shards 0/1 — the same determinism bar as the journal.
   obs::PendingAgeStats pending_ages;  // ages of still-pending spans
   obs::SloSnapshot slo;               // cumulative attainment (capped rows)
 };
 
 struct ResolverOptions {
   core::AladdinOptions aladdin;
-  // Keep scheduling state alive across Resolve() calls (see file comment).
-  bool incremental = true;
   // Shard the long-lived solve across this many disjoint machine
   // partitions, solved concurrently (core::ShardedScheduler). 0 keeps the
   // single-solver path; 1 runs the sharded coordinator with one shard,
@@ -91,37 +88,28 @@ struct ResolverOptions {
   // this down). `aladdin.threads` becomes the shard-solve pool size.
   int shards = 0;
   core::ShardRouting routing = core::ShardRouting::kLeastUtilized;
-  // Track per-container lifecycle spans and admission-SLO attainment
-  // (obs/lifecycle.h, obs/slo.h). Adds O(pending) exact-integer accounting
-  // per resolve; placements are unaffected.
-  bool lifecycle = true;
-  // Admission objective: `slo.percent`% of containers placed within
-  // `slo.wait_ticks` ticks of arrival.
-  obs::SloObjective slo;
+  // Admission objective for the always-on lifecycle ledger and SLO engine
+  // (obs/lifecycle.h, obs/slo.h): `slo.percent`% of containers placed
+  // within `slo.wait_ticks` ticks of arrival.
+  obs::SloObjective slo{};
   // Micro-batch size for the long-lived arm (ISSUE 9). 0 keeps the classic
   // one-solve-per-tick path. >0 splits each tick's long-lived arrival into
   // chunks of this size, solved via AladdinScheduler::ScheduleBatch (one
   // warm network refresh, weights hoisted once per batch). A chunk covering
   // the whole tick is bit-identical to batch = 0; smaller chunks reorder
   // the weight sort per chunk, which is the point of micro-batching.
-  // Incremental path only (the full-rebuild arm stays the historical
-  // baseline).
   int batch = 0;
   // With batch > 0, long-lived pods are only solved on ticks where
   // (tick + 1) is a multiple of this deadline; other ticks defer them
   // (cause kBatchDeferred, SLO clocks keep running). 1 = solve every tick.
   int batch_deadline_ticks = 1;
-  // Place runs of consecutive short-lived pods with identical requests via
-  // core::TaskScheduler::PlaceRun (bit-identical to per-pod best fit,
-  // without the per-task rescan). A/B knob for the equivalence tests.
-  bool task_run_placement = true;
   // Run the cluster health watchdog (obs/watchdog.h): six anomaly
   // detectors evaluated once per resolve from the serial epilogue, feeding
-  // typed alerts into the journal, metrics and the /alertz endpoint.
-  // Requires `lifecycle` (the detectors consume its SLO / pending-age /
-  // epoch signals); placements are unaffected either way.
+  // typed alerts into the journal, metrics and the /alertz endpoint. The
+  // detectors consume the lifecycle ledger's SLO / pending-age / epoch
+  // signals; placements are unaffected either way.
   bool watchdog = false;
-  obs::WatchdogOptions watchdog_options;
+  obs::WatchdogOptions watchdog_options{};
 };
 
 class Resolver {
@@ -163,7 +151,7 @@ class Resolver {
   // Runs in the exclusive k8s/lifecycle phase, like FinishLifecycle.
   void TrackArrivals(const std::vector<PodUid>& pending,
                      const cluster::ClusterState& state, std::int64_t tick);
-  // Shared lifecycle epilogue of both arms: pending-age summary, SLO
+  // Lifecycle epilogue of Resolve(): pending-age summary, SLO
   // snapshot into `stats`, watchdog tick (options_.watchdog), introspection
   // publish for /statusz + /slo + /alertz. Expects
   // stats.unschedulable_causes to be filled already (the cause-mix
@@ -176,16 +164,10 @@ class Resolver {
                        std::int64_t solve_cost,
                        std::int64_t solve_wall_micros);
 
-  // The sharded-coordinator configuration derived from `options` (inner
-  // solver options, pool size, routing policy).
-  [[nodiscard]] core::ShardedOptions ShardedConfig() const;
-
   ModelAdaptor& adaptor_;
   ResolverOptions options_;
   core::AladdinScheduler scheduler_;  // owns the persistent network + pool
-  // Sharded long-lived arm (options_.shards > 0): replaces scheduler_ for
-  // the persistent path; the full-rebuild arm constructs a fresh one per
-  // resolve, mirroring its fresh AladdinScheduler.
+  // Sharded long-lived solver (options_.shards > 0): replaces scheduler_.
   std::unique_ptr<core::ShardedScheduler> sharded_;
 
   std::optional<cluster::ClusterState> state_;
@@ -193,7 +175,7 @@ class Resolver {
   std::uint64_t free_index_cursor_ = 0;
   std::int64_t built_topology_version_ = -1;
 
-  // Per-tick pooling for the incremental path: the long/short-lived splits
+  // Per-tick pooling: the long/short-lived splits
   // persist as member scratch (long_lived_ must stay a std::vector — it is
   // handed to ScheduleRequest by pointer), the reconcile-phase lookup table
   // lives in the arena, reset each Resolve().
@@ -207,13 +189,12 @@ class Resolver {
   // capacity across resolves.
   std::vector<std::vector<cluster::ContainerId>> batch_chunks_;
   std::vector<sim::ScheduleRequest> batch_requests_;
-  // Short-lived run-placement scratch (options_.task_run_placement).
+  // Short-lived run-placement scratch.
   std::vector<cluster::ContainerId> task_run_;
   std::vector<cluster::MachineId> task_out_;
 
-  // Lifecycle ledger + SLO engine (options_.lifecycle) and the health
-  // watchdog (options_.watchdog). Shared by both resolve arms and mutated
-  // only from their serial sections.
+  // Lifecycle ledger + SLO engine and the health watchdog
+  // (options_.watchdog), mutated only from Resolve()'s serial sections.
   obs::LifecycleLedger ledger_;
   obs::SloEngine slo_;
   obs::Watchdog watchdog_;

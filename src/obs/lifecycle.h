@@ -83,9 +83,9 @@ class LifecycleLedger {
  public:
   // Opens a span for `container` at `tick` (idempotent: a container already
   // pending keeps its original arrival). A container previously placed or
-  // retired re-opens as a new epoch — the rebuild arm's stale-binding path
-  // sends bound pods back to pending this way. Emits kPodArrived into the
-  // journal (serial sections only) when a span actually opens.
+  // retired re-opens as a new epoch — a state rebuild that drops a stale
+  // binding sends the bound pod back to pending this way. Emits kPodArrived
+  // into the journal (serial sections only) when a span actually opens.
   void OnArrival(std::int32_t container, std::int32_t app, std::int64_t tick);
   // Records a failed resolve for a pending container.
   void OnAttempt(std::int32_t container, Cause cause, std::int64_t tick);

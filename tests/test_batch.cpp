@@ -427,9 +427,18 @@ TEST(GroupWaterfall, DisengagesWithoutDepthLimiting) {
 // ------------------------------------------------ task-run placement ----
 
 // PlaceRun == per-task PlaceOne(kBestFit), including winner exhaustion
-// mid-run and the all-fail suffix, under randomized pre-occupancy.
+// mid-run, the all-fail suffix and a run of one (the resolver routes every
+// short-lived pod through PlaceRun, lone pods included), under randomized
+// pre-occupancy.
 TEST(TaskRunPlacement, PlaceRunMatchesPlaceOnePerTask) {
-  for (const std::uint64_t seed : {3u, 17u, 29u, 71u}) {
+  struct Input {
+    std::uint64_t seed;
+    std::size_t run_length;
+  };
+  for (const Input input :
+       {Input{3, 30}, Input{17, 30}, Input{29, 30}, Input{71, 30},
+        Input{5, 1}}) {
+    const std::uint64_t seed = input.seed;
     Rng rng(seed);
     const Topology topo =
         Topology::Uniform(12, ResourceVector::Cores(16, 32));
@@ -440,7 +449,7 @@ TEST(TaskRunPlacement, PlaceRunMatchesPlaceOnePerTask) {
                       ResourceVector::Cores(rng.UniformInt(1, 6),
                                             rng.UniformInt(2, 12)));
     const std::size_t run_first = wl.container_count();
-    wl.AddApplication("tasks", 30,
+    wl.AddApplication("tasks", input.run_length,
                       ResourceVector::Cores(rng.UniformInt(1, 8),
                                             rng.UniformInt(2, 16)));
 
@@ -476,7 +485,8 @@ TEST(TaskRunPlacement, PlaceRunMatchesPlaceOnePerTask) {
       if (m.valid()) ++one_placed;
     }
 
-    const std::string label = "seed=" + std::to_string(seed);
+    const std::string label = "seed=" + std::to_string(seed) +
+                              " run=" + std::to_string(input.run_length);
     EXPECT_EQ(run_out, one_out) << label;
     EXPECT_EQ(placed, one_placed) << label;
     EXPECT_EQ(Placements(run_state, wl.container_count()),

@@ -440,6 +440,25 @@ TEST_F(StateTest, AuditUnplacedCauseScheduler) {
   EXPECT_EQ(report.unplaced_scheduler, 5u);
 }
 
+TEST_F(StateTest, AuditLeavesRetiredContainersOutOfEveryCount) {
+  // The state above with web/1 retired (its pod is gone): a tombstone, not
+  // a scheduler failure. Marking the placed web/0 retired changes nothing.
+  ClusterState state = wl_.MakeState(topo_);
+  state.Deploy(C(web_, 0), MachineId(0));
+  const ContainerId web0 = C(web_, 0);
+  const ContainerId web1 = C(web_, 1);
+  const AuditReport all = Audit(state);
+  const AuditReport report = Audit(state, [&](ContainerId c) {
+    return c == web0 || c == web1;
+  });
+  EXPECT_EQ(report.retired, 1u);
+  EXPECT_EQ(report.total_containers, all.total_containers - 1);
+  EXPECT_EQ(report.placed, 1u);
+  EXPECT_EQ(report.unplaced, 4u);
+  EXPECT_EQ(report.unplaced_scheduler, 4u);
+  EXPECT_EQ(all.retired, 0u);
+}
+
 TEST(Audit, PriorityInversions) {
   // Low-priority container placed while a high-priority one is starved.
   trace::Workload wl;

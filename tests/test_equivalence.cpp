@@ -1,8 +1,9 @@
 // Equivalence contract for the incremental/parallel hot path:
 //
-//   * incremental network reuse (AladdinOptions::incremental_network, the
+//   * incremental reuse (the scheduler's persistent network, the
 //     resolver's persistent state) must produce placements bit-identical to
-//     a rebuild-from-scratch run — the reuse is a pure optimisation;
+//     a freshly constructed engine or resolver, which always builds from
+//     scratch — the reuse is a pure optimisation;
 //   * the pool-backed admissible-path search (AladdinOptions::threads) must
 //     match the serial walk on placements AND search counters, for any
 //     thread count — determinism is part of the API, not best-effort;
@@ -16,6 +17,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -185,18 +187,19 @@ std::vector<MachineId> Placements(const cluster::ClusterState& state,
   return out;
 }
 
+// Persistent-network identity: one scheduler keeps its aggregated network
+// across waves and learns about external churn (evictions made directly on
+// the state) only through the state's dirty log; a throwaway engine built
+// fresh per wave rebuilds the network from scratch. Network reuse is a pure
+// optimisation — identical placements and outcomes, wave after wave.
 TEST(IncrementalNetwork, PlacementsMatchFreshRebuildAcrossWaves) {
   const Topology topo =
       Topology::Uniform(48, ResourceVector::Cores(32, 64), 8, 3);
   Workload wl;
   Rng rng(2024);
 
-  core::AladdinOptions inc_options;  // repair + compaction on (defaults)
-  inc_options.incremental_network = true;
-  core::AladdinOptions fresh_options = inc_options;
-  fresh_options.incremental_network = false;
-
-  core::AladdinScheduler incremental(inc_options);  // one persistent engine
+  const core::AladdinOptions options;  // repair + compaction on (defaults)
+  core::AladdinScheduler incremental(options);  // one persistent engine
   cluster::ClusterState inc_state = wl.MakeState(topo);
   cluster::ClusterState fresh_state = wl.MakeState(topo);
 
@@ -223,7 +226,7 @@ TEST(IncrementalNetwork, PlacementsMatchFreshRebuildAcrossWaves) {
     }
     const sim::ScheduleRequest request{&wl, &pending};
     const auto inc_outcome = incremental.Schedule(request, inc_state);
-    core::AladdinScheduler fresh(fresh_options);  // new engine every wave
+    core::AladdinScheduler fresh(options);  // new engine every wave
     const auto fresh_outcome = fresh.Schedule(request, fresh_state);
 
     EXPECT_EQ(Placements(inc_state, wl.container_count()),
@@ -335,8 +338,7 @@ TEST(ParallelSearch, PlacementsAndCountersMatchSerial) {
 // ------------------------------------------------- resolver equivalence ----
 
 // Scripted mixed cluster: deployments, batch jobs, deletions, a node
-// removal. Drives both resolver modes through identical event streams and
-// expects identical bindings, stats, and final pod placement.
+// removal, driven through a ClusterSimulator.
 void RunScript(k8s::ClusterSimulator& sim, int ticks) {
   Rng rng(7);
   std::int64_t apps = 0;
@@ -362,40 +364,147 @@ void RunScript(k8s::ClusterSimulator& sim, int ticks) {
   }
 }
 
-std::map<k8s::PodUid, std::string> FinalBindings(k8s::ClusterSimulator& sim) {
+std::map<k8s::PodUid, std::string> FinalBindings(k8s::ModelAdaptor& adaptor) {
   std::map<k8s::PodUid, std::string> out;
-  for (k8s::PodUid uid : sim.adaptor().BoundPods()) {
-    out[uid] = sim.adaptor().FindPod(uid)->node;
+  for (k8s::PodUid uid : adaptor.BoundPods()) {
+    out[uid] = adaptor.FindPod(uid)->node;
   }
   return out;
 }
 
+std::map<k8s::PodUid, std::string> FinalBindings(k8s::ClusterSimulator& sim) {
+  return FinalBindings(sim.adaptor());
+}
+
+// Two model adaptors fed the identical event stream, one served by a
+// persistent Resolver (state, network and free index synced tick to tick),
+// the other by a Resolver constructed fresh before every Resolve() — whose
+// first tick always builds its state from the pod store, the rebuild
+// oracle. The cluster is small enough that capacity freed by completions
+// and deletions decides later placements, and priorities make the solver
+// preempt. Every tick's bindings and counts, and the final pod->node map,
+// must match.
 TEST(ResolverEquivalence, IncrementalMatchesRebuildPerTick) {
-  k8s::ResolverOptions inc_options;
-  inc_options.aladdin = k8s::Resolver::DefaultOptions();
-  inc_options.incremental = true;
-  k8s::ResolverOptions rebuild_options = inc_options;
-  rebuild_options.incremental = false;
+  k8s::ResolverOptions options;
+  options.aladdin = k8s::Resolver::DefaultOptions();
+  k8s::ModelAdaptor persistent_adaptor;
+  k8s::ModelAdaptor fresh_adaptor;
+  k8s::Resolver persistent(persistent_adaptor, options);
+  std::optional<k8s::Resolver> fresh;
 
-  k8s::ClusterSimulator inc(inc_options);
-  k8s::ClusterSimulator rebuild(rebuild_options);
-  inc.AddNodes(16, cluster::ResourceVector::Cores(32, 64), "node", 4, 2);
-  rebuild.AddNodes(16, cluster::ResourceVector::Cores(32, 64), "node", 4, 2);
-
-  RunScript(inc, 9);
-  RunScript(rebuild, 9);
-
-  ASSERT_EQ(inc.history().size(), rebuild.history().size());
-  for (std::size_t t = 0; t < inc.history().size(); ++t) {
-    const auto& a = inc.history()[t];
-    const auto& b = rebuild.history()[t];
-    EXPECT_EQ(a.new_bindings, b.new_bindings) << "tick " << t;
-    EXPECT_EQ(a.migrations, b.migrations) << "tick " << t;
-    EXPECT_EQ(a.preemptions, b.preemptions) << "tick " << t;
-    EXPECT_EQ(a.unschedulable, b.unschedulable) << "tick " << t;
+  const auto deliver = [&](const k8s::Event& event) {
+    persistent_adaptor.OnEvent(event);
+    fresh_adaptor.OnEvent(event);
+  };
+  for (int n = 0; n < 8; ++n) {
+    k8s::Event event;
+    event.type = k8s::EventType::kNodeAdded;
+    event.node.name = "node-" + std::to_string(n);
+    event.node.capacity = cluster::ResourceVector::Cores(16, 32);
+    event.node.rack = "rack-" + std::to_string(n / 2);
+    event.node.zone = "zone-" + std::to_string(n / 4);
+    deliver(event);
   }
-  EXPECT_EQ(FinalBindings(inc), FinalBindings(rebuild));
-  EXPECT_EQ(inc.completed_tasks(), rebuild.completed_tasks());
+
+  Rng rng(7);
+  k8s::PodUid next_uid = 1;
+  const auto add_pod = [&](const std::string& name, const k8s::PodSpec& spec) {
+    k8s::Event event;
+    event.type = k8s::EventType::kPodAdded;
+    event.pod.uid = next_uid++;
+    event.pod.name = name;
+    event.pod.spec = spec;
+    deliver(event);
+  };
+  const auto delete_pod = [&](k8s::PodUid uid) {
+    k8s::Event event;
+    event.type = k8s::EventType::kPodDeleted;
+    event.pod.uid = uid;
+    deliver(event);
+  };
+
+  std::vector<k8s::PodUid> expired;
+  std::vector<k8s::PodUid> fresh_expired;
+  std::size_t preemptions = 0;
+  std::size_t unschedulable = 0;
+  for (std::int64_t tick = 1; tick <= 10; ++tick) {
+    const std::string label = "tick " + std::to_string(tick);
+    // Batch tasks whose lifetime elapsed complete first.
+    persistent_adaptor.TakeExpired(tick, expired);
+    fresh_adaptor.TakeExpired(tick, fresh_expired);
+    ASSERT_EQ(expired, fresh_expired) << label;
+    for (const k8s::PodUid uid : expired) delete_pod(uid);
+
+    for (int d = 0; d < 3; ++d) {
+      k8s::PodSpec spec;
+      spec.app = "svc-" + std::to_string(tick) + "-" + std::to_string(d);
+      spec.requests = cluster::ResourceVector::Cores(rng.UniformInt(1, 6),
+                                                     rng.UniformInt(2, 12));
+      spec.priority = rng.Bernoulli(0.3)
+                          ? static_cast<cluster::Priority>(rng.UniformInt(1, 3))
+                          : 0;
+      spec.anti_affinity_within = rng.Bernoulli(0.6);
+      const std::int64_t replicas = rng.UniformInt(1, 4);
+      for (std::int64_t r = 0; r < replicas; ++r) {
+        add_pod(spec.app + "-" + std::to_string(r), spec);
+      }
+    }
+    k8s::PodSpec task;
+    task.app = "job-" + std::to_string(tick);
+    task.requests = cluster::ResourceVector::Cores(1, 2);
+    task.lifetime_ticks = 2;
+    for (int i = 0; i < 10; ++i) {
+      add_pod(task.app + "-task-" + std::to_string(i), task);
+    }
+    // One odd-sized task: a run of one between runs of identical requests.
+    task.requests = cluster::ResourceVector::Cores(2, 4);
+    add_pod(task.app + "-task-big", task);
+
+    if (tick % 3 == 0) {  // delete the two newest bound long-lived pods
+      std::vector<k8s::PodUid> bound;
+      for (const k8s::PodUid uid : persistent_adaptor.BoundPods()) {
+        if (!persistent_adaptor.FindPod(uid)->spec.short_lived()) {
+          bound.push_back(uid);
+        }
+      }
+      for (std::size_t i = 0; i < 2 && i < bound.size(); ++i) {
+        delete_pod(bound[bound.size() - 1 - i]);
+      }
+    }
+    if (tick == 6) {  // forces a topology rebuild in the persistent resolver
+      k8s::Event event;
+      event.type = k8s::EventType::kNodeRemoved;
+      event.node.name = "node-5";
+      deliver(event);
+    }
+
+    std::vector<k8s::Binding> persistent_bindings;
+    std::vector<k8s::Binding> fresh_bindings;
+    const k8s::ResolveStats a =
+        persistent.Resolve(tick, &persistent_bindings);
+    fresh.emplace(fresh_adaptor, options);
+    const k8s::ResolveStats b = fresh->Resolve(tick, &fresh_bindings);
+
+    ASSERT_EQ(persistent_bindings.size(), fresh_bindings.size()) << label;
+    for (std::size_t i = 0; i < persistent_bindings.size(); ++i) {
+      EXPECT_EQ(persistent_bindings[i].pod, fresh_bindings[i].pod)
+          << label << " binding " << i;
+      EXPECT_EQ(persistent_bindings[i].node, fresh_bindings[i].node)
+          << label << " binding " << i;
+    }
+    EXPECT_EQ(a.new_bindings, b.new_bindings) << label;
+    EXPECT_EQ(a.migrations, b.migrations) << label;
+    EXPECT_EQ(a.preemptions, b.preemptions) << label;
+    EXPECT_EQ(a.unschedulable, b.unschedulable) << label;
+    EXPECT_EQ(FinalBindings(persistent_adaptor), FinalBindings(fresh_adaptor))
+        << label;
+    preemptions += a.preemptions;
+    unschedulable += a.unschedulable;
+  }
+  // The script must reach the paths it claims to cover: a full cluster
+  // and priority preemption.
+  EXPECT_GT(unschedulable, 0u);
+  EXPECT_GT(preemptions, 0u);
 }
 
 TEST(ResolverEquivalence, ParallelResolverMatchesSerial) {

@@ -364,17 +364,6 @@ TEST(LifecycleResolver, OverloadAccountsEveryPendingPod) {
   EXPECT_EQ(status.oldest_pending.size(), status.oldest_pending_app.size());
 }
 
-TEST(LifecycleResolver, DisablingLifecycleZeroesTheSurfaces) {
-  k8s::ResolverOptions options = LifecycleOptions(1, 0);
-  options.lifecycle = false;
-  k8s::ClusterSimulator sim(options);
-  sim.AddNodes(8, cluster::ResourceVector::Cores(8, 16), "node", 2, 2);
-  RunOverloadScript(sim, 3);
-  const k8s::ResolveStats& last = sim.history().back();
-  EXPECT_EQ(last.slo.admitted, 0);
-  EXPECT_EQ(last.pending_ages.open, 0u);
-}
-
 // ------------------------------------------------- introspection + HTTP ----
 
 std::string HttpGet(std::uint16_t port, const std::string& path) {

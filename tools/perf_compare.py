@@ -3,6 +3,7 @@
 
 Usage:
   tools/perf_compare.py BASELINE.json CURRENT.json [--max-ratio 2.0]
+  tools/perf_compare.py A.json B.json --counts-only [--exempt NAME=REASON ...]
 
 Understands two formats:
 
@@ -21,6 +22,14 @@ but do not fail the comparison (benches grow new metrics over time).
 Absolute-floor guard: time metrics where both sides are below --floor-ms
 (default 1.0) are skipped — sub-millisecond timings on shared CI machines
 are noise, and a 0.1ms -> 0.3ms jump is not a regression worth a red build.
+
+Counts-only mode (--counts-only) is the count-identity check between two
+runs of one build that must make the same decisions (batched vs
+sequential, watchdog on vs off, one shard vs unsharded): only unit "count"
+metrics are compared, and nothing is ratio-checked. A metric that may
+legitimately differ is named with --exempt NAME=REASON; the reason is
+mandatory and is printed in the report, so every exception stays
+justified where it is used.
 """
 
 from __future__ import annotations
@@ -55,14 +64,39 @@ def load_metrics(path: Path) -> tuple[dict[str, float], dict[str, str]]:
 TIME_UNITS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
 
 
+def parse_exemptions(entries: list[str]) -> dict[str, str]:
+    """Parses --exempt NAME=REASON entries into name -> reason. Raises
+    ValueError on an entry without a name or without a reason, and on a
+    name given twice."""
+    exempt: dict[str, str] = {}
+    for entry in entries:
+        name, sep, reason = entry.partition("=")
+        name, reason = name.strip(), reason.strip()
+        if not name or not sep or not reason:
+            raise ValueError(f"--exempt {entry!r}: expected NAME=REASON "
+                             "with a non-empty reason")
+        if name in exempt:
+            raise ValueError(f"--exempt {name!r} given twice")
+        exempt[name] = reason
+    return exempt
+
+
 def compare(base_values: dict[str, float], base_units: dict[str, str],
             cur_values: dict[str, float], max_ratio: float = 2.0,
-            floor_ms: float = 1.0) -> tuple[list[str], list[str]]:
+            floor_ms: float = 1.0, counts_only: bool = False,
+            exempt: dict[str, str] | None = None,
+            cur_units: dict[str, str] | None = None
+            ) -> tuple[list[str], list[str]]:
     """The comparison policy, importable for tests: time-unit metrics are
     ratio-checked against max_ratio (below floor_ms on both sides = noise),
     unit "count" metrics are identity-checked (the obs registry's counters
     and the audit numbers are placement decisions, not timings), and any
     other unit — "gauge", "rate", histogram units — is informational.
+
+    With counts_only, only unit "count" metrics are reported and checked.
+    A count metric named in `exempt` (name -> reason) may differ; its row
+    carries the reason instead of failing. `cur_units` gives the units of
+    metrics only the current side has (counts_only keeps the count ones).
 
     Returns (report_lines, failures); empty failures = within bounds. The
     report is an aligned per-metric table (old, new, unit, ratio, verdict)
@@ -70,7 +104,11 @@ def compare(base_values: dict[str, float], base_units: dict[str, str],
     # (name, old, new, unit, ratio, verdict) — formatted into a table below.
     rows: list[tuple[str, str, str, str, str, str]] = []
     failures: list[str] = []
+    exempt = exempt or {}
+    cur_units = cur_units or {}
     for name in sorted(base_values):
+        if counts_only and base_units.get(name, "") != "count":
+            continue
         if name not in cur_values:
             rows.append((name, f"{base_values[name]:g}", "-",
                          base_units.get(name, ""), "", "[missing]"))
@@ -94,7 +132,10 @@ def compare(base_values: dict[str, float], base_units: dict[str, str],
         elif unit == "count":
             # Counters must match exactly: placement decisions are part of
             # the contract, not a tunable.
-            if base != cur:
+            if base != cur and name in exempt:
+                rows.append((name, f"{base:g}", f"{cur:g}", unit, "",
+                             f"[exempt] {exempt[name]}"))
+            elif base != cur:
                 rows.append((name, f"{base:g}", f"{cur:g}", unit, "",
                              "[CHANGED]"))
                 failures.append(f"{name}: counter changed {base:g} -> {cur:g}")
@@ -104,8 +145,10 @@ def compare(base_values: dict[str, float], base_units: dict[str, str],
         else:
             rows.append((name, f"{base:g}", f"{cur:g}", unit, "", "[info]"))
     for name in sorted(set(cur_values) - set(base_values)):
+        if counts_only and cur_units.get(name, "") != "count":
+            continue
         rows.append((name, "-", f"{cur_values[name]:g}",
-                     base_units.get(name, ""), "", "[new]"))
+                     cur_units.get(name, ""), "", "[new]"))
 
     header = ("metric", "old", "new", "unit", "ratio", "verdict")
     widths = [max(len(header[c]), *(len(r[c]) for r in rows)) if rows
@@ -132,14 +175,29 @@ def main() -> int:
     parser.add_argument("--floor-ms", type=float, default=1.0,
                         help="ignore time metrics where both sides are below "
                              "this many milliseconds (default 1.0)")
+    parser.add_argument("--counts-only", action="store_true",
+                        help="compare only unit \"count\" metrics, for "
+                             "identity checks between two runs")
+    parser.add_argument("--exempt", action="append", default=[],
+                        metavar="NAME=REASON",
+                        help="with --counts-only: a count metric allowed to "
+                             "differ, and why (repeatable; reason required)")
     args = parser.parse_args()
+    if args.exempt and not args.counts_only:
+        parser.error("--exempt requires --counts-only")
+    try:
+        exempt = parse_exemptions(args.exempt)
+    except ValueError as err:
+        parser.error(str(err))
 
     base_values, base_units = load_metrics(args.baseline)
-    cur_values, _ = load_metrics(args.current)
+    cur_values, cur_units = load_metrics(args.current)
 
     lines, failures = compare(base_values, base_units, cur_values,
                               max_ratio=args.max_ratio,
-                              floor_ms=args.floor_ms)
+                              floor_ms=args.floor_ms,
+                              counts_only=args.counts_only, exempt=exempt,
+                              cur_units=cur_units)
     for line in lines:
         print(line)
 
@@ -149,6 +207,13 @@ def main() -> int:
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 1
+    if args.counts_only:
+        identical = sum(1 for name, unit in base_units.items()
+                        if unit == "count" and name in cur_values
+                        and cur_values[name] == base_values[name])
+        print(f"\nperf_compare: OK, {identical} count metrics identical "
+              f"({len(exempt)} exemption(s)) vs {args.baseline.name}")
+        return 0
     print(f"\nperf_compare: OK vs {args.baseline.name}")
     return 0
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Unit tests for the perf_compare policy: unit "count" metrics are
 identity-checked, time-unit metrics are ratio-checked (with the noise
-floor), everything else is informational. Registered as a ctest case.
+floor), everything else is informational; --counts-only checks count
+identity alone, with reasoned exemptions. Registered as a ctest case.
 
 Run standalone:  python3 tools/test_perf_compare.py
 """
@@ -9,6 +10,7 @@ Run standalone:  python3 tools/test_perf_compare.py
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 import tempfile
 import unittest
@@ -170,6 +172,74 @@ class BatchMetricsTest(unittest.TestCase):
             {"BM_BatchRefreshWarm/4096": (8.0, "ms")},
             {"BM_BatchRefreshWarm/4096": (2.0, "ms")}, max_ratio=2.0)
         self.assertEqual(failures, [])
+
+
+class CountsOnlyTest(unittest.TestCase):
+    """--counts-only: the count-identity check between two runs that must
+    make the same decisions; --exempt NAME=REASON names the exceptions."""
+
+    BASE = {"pods_bound": (100.0, "count"), "resolve_ms_p50": (10.0, "ms"),
+            "core/net_syncs": (12.0, "count")}
+
+    def test_identical_counts_pass_and_times_are_ignored(self):
+        cur = dict(self.BASE, resolve_ms_p50=(90.0, "ms"))  # x9 slower
+        lines, failures = run_compare(self.BASE, cur, counts_only=True)
+        self.assertEqual(failures, [])
+        self.assertFalse(any("resolve_ms_p50" in line for line in lines))
+
+    def test_changed_count_fails(self):
+        cur = dict(self.BASE, pods_bound=(99.0, "count"))
+        _, failures = run_compare(self.BASE, cur, counts_only=True)
+        self.assertEqual(len(failures), 1)
+        self.assertIn("pods_bound", failures[0])
+
+    def test_exempted_count_passes_and_shows_its_reason(self):
+        cur = dict(self.BASE, **{"core/net_syncs": (1.0, "count")})
+        lines, failures = run_compare(
+            self.BASE, cur, counts_only=True,
+            exempt={"core/net_syncs": "one refresh per batch"})
+        self.assertEqual(failures, [])
+        self.assertTrue(any("[exempt] one refresh per batch" in line
+                            for line in lines))
+
+    def test_exemption_covers_only_its_metric(self):
+        cur = dict(self.BASE, pods_bound=(99.0, "count"),
+                   **{"core/net_syncs": (1.0, "count")})
+        _, failures = run_compare(
+            self.BASE, cur, counts_only=True,
+            exempt={"core/net_syncs": "one refresh per batch"})
+        self.assertEqual(len(failures), 1)
+        self.assertIn("pods_bound", failures[0])
+
+    def test_exemption_needs_a_reason(self):
+        for entry in ("core/net_syncs", "core/net_syncs=", "core/net_syncs= ",
+                      "=why"):
+            with self.assertRaises(ValueError, msg=entry):
+                perf_compare.parse_exemptions([entry])
+        self.assertEqual(
+            perf_compare.parse_exemptions(["a=why not", "b=x=y"]),
+            {"a": "why not", "b": "x=y"})
+
+    def test_cli_rejects_exemption_without_reason(self):
+        doc = {"schema": "aladdin-bench-v1", "name": "online",
+               "metrics": [{"name": "pods_bound", "value": 7,
+                            "unit": "count"}]}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bench.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            script = Path(__file__).resolve().parent / "perf_compare.py"
+            for extra in (["--counts-only", "--exempt", "pods_bound"],
+                          ["--exempt", "pods_bound=why"]):
+                proc = subprocess.run(
+                    [sys.executable, str(script), str(path), str(path),
+                     *extra], capture_output=True, text=True, check=False)
+                self.assertEqual(proc.returncode, 2, extra)
+            proc = subprocess.run(
+                [sys.executable, str(script), str(path), str(path),
+                 "--counts-only", "--exempt", "pods_bound=why"],
+                capture_output=True, text=True, check=False)
+            self.assertEqual(proc.returncode, 0, proc.stderr)
+            self.assertIn("1 count metrics identical", proc.stdout)
 
 
 class LoadMetricsTest(unittest.TestCase):
