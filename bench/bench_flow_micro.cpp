@@ -1,7 +1,8 @@
 // Microbenchmarks for the flow substrate (google-benchmark): SPFA vs
 // Bellman–Ford shortest paths, Dinic vs Edmonds–Karp max flow, min-cost
-// max-flow throughput, and multidimensional augmentation, plus the k8s
-// tick layers outside the solver (expiry step, EHC drain). Not a paper
+// max-flow throughput, and multidimensional augmentation, plus the
+// free-capacity index re-key and the k8s tick layers outside the solver
+// (expiry step, EHC drain). Not a paper
 // figure; this pins the solver costs the scheduling-level latency numbers
 // (Fig. 12) are built on.
 #include <benchmark/benchmark.h>
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster/free_index.h"
 #include "common/rng.h"
 #include "core/scheduler.h"
 #include "flow/max_flow.h"
@@ -374,6 +376,47 @@ void BM_GroupWaterfallVsDinic(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GroupWaterfallVsDinic)->Arg(0)->Arg(1);
+
+// ------------------------------------------ free-capacity index ----
+// One re-key pair per iteration on 10k homogeneous machines, about 70% of
+// them idle: a 1-core container lands on a random machine and leaves again,
+// so most re-keys take a machine out of the all-idle run and put it back —
+// the run where thousands of keys share one free value. The timed loop
+// includes the two state mutations the re-keys follow.
+void BM_FreeIndexRekey(benchmark::State& state) {
+  constexpr std::int64_t kMachines = 10000;
+  const cluster::Topology topology = cluster::Topology::Uniform(
+      kMachines, cluster::ResourceVector::Cores(32, 64));
+  trace::Workload workload;
+  const auto fill = workload.AddApplication(
+      "fill", 3000, cluster::ResourceVector::Cores(8, 16));
+  const auto churn = workload.AddApplication(
+      "churn", 1, cluster::ResourceVector::Cores(1, 2));
+  cluster::ClusterState cluster_state = workload.MakeState(topology);
+  Rng rng(7);
+  auto random_machine = [&] {
+    return cluster::MachineId(
+        static_cast<std::int32_t>(rng.UniformInt(0, kMachines - 1)));
+  };
+  for (cluster::ContainerId c : workload.application(fill).containers) {
+    const cluster::MachineId m = random_machine();
+    if (cluster_state.CanPlace(c, m)) cluster_state.Deploy(c, m);
+  }
+  cluster::FreeIndex index;
+  index.Attach(cluster_state);
+  const cluster::ContainerId c = workload.application(churn).containers[0];
+  for (auto _ : state) {
+    const cluster::MachineId m = random_machine();
+    if (!cluster_state.CanPlace(c, m)) continue;
+    cluster_state.Deploy(c, m);
+    index.OnChanged(m);
+    cluster_state.Evict(c);
+    index.OnChanged(m);
+    benchmark::DoNotOptimize(index.IndexedFree(m));
+  }
+  state.SetItemsProcessed(2 * state.iterations());
+}
+BENCHMARK(BM_FreeIndexRekey);
 
 // ------------------------------------------------ k8s tick layers ----
 // The simulator's per-tick bookkeeping in isolation, at the shape of the

@@ -1,20 +1,21 @@
-// Sorted index of machines by free CPU, shared by the baseline schedulers
-// (best-fit scans for Medea, worst-fit scans for Go-Kube, candidate
-// generation for Firmament) and the core task scheduler's per-task
-// placement loop. The Aladdin core keeps its own richer index
-// (core/network.h) with rack/sub-cluster aggregates.
+// Sorted index of machines by free CPU: the one free-capacity index. The
+// aggregated network keeps its N_y → t residuals here (core/network.h); the
+// task scheduler and the baselines run their best- and worst-fit scans and
+// candidate generation over it.
 //
 // The index mirrors a ClusterState it is attached to; callers must invoke
-// OnChanged(m) after any deploy/evict that touches machine m.
+// OnChanged(m) after any deploy/evict that touches machine m, and never
+// inside a scan of the same index (DCHECK builds die on it): gather
+// candidates first, then mutate.
 //
-// Representation: machines live in fixed-width buckets of free-CPU range,
-// each bucket a sorted vector of (free, machine id). Global iteration order
-// — ascending (free, id), exactly what a std::set<pair> would produce — is
-// preserved, so scan results are bit-identical to the previous tree-based
-// index. The flat layout exists for the hot path: the task scheduler runs
-// one scan plus one re-key per placed task, and red-black-tree node hops
-// (one potential cache miss each) dominated both. A bucket re-key is two
-// short binary searches plus a small memmove inside contiguous storage.
+// Representation: short sorted blocks of (free, machine id) keys, at most
+// kBlockKeys each, ascending across blocks. A re-key is a binary search over
+// the block maxima plus a memmove inside two blocks, even where thousands of
+// machines share one free value. Insert splits a full block in half; erase
+// merges a block into a neighbour when the pair fits in one, so every
+// adjacent pair holds more than kBlockKeys keys and there are at most
+// 2·M/kBlockKeys + 1 blocks. Retired blocks are pooled, so re-keys never
+// allocate.
 #pragma once
 
 #include <algorithm>
@@ -23,15 +24,25 @@
 #include <vector>
 
 #include "cluster/state.h"
+#include "common/check.h"
 
 namespace aladdin::cluster {
 
 class FreeIndex {
  public:
+  static constexpr std::size_t kBlockKeys = 64;
+
   void Attach(const ClusterState& state);
 
   // Re-key machine m after its free resources changed.
   void OnChanged(MachineId m);
+
+  // The free CPU machine m is filed under (its live value after OnChanged).
+  [[nodiscard]] std::int64_t IndexedFree(MachineId m) const {
+    return indexed_free_[static_cast<std::size_t>(m.value())];
+  }
+
+  [[nodiscard]] std::size_t block_count() const { return blocks_.size(); }
 
   // Visit machines with free CPU >= min_free_cpu in ascending free order
   // (best-fit first) until fn returns true. Returns whether fn accepted one.
@@ -40,112 +51,79 @@ class FreeIndex {
   // block per scan and force an indirect call per visited machine.
   template <typename Fn>
   bool ScanAscending(std::int64_t min_free_cpu, Fn&& fn) const {
-    const std::size_t first = BucketOf(min_free_cpu);
-    for (std::size_t b = first; b < buckets_.size(); ++b) {
-      const Bucket& bucket = buckets_[b];
-      auto it = bucket.begin();
-      if (b == first) {
-        it = std::lower_bound(bucket.begin(), bucket.end(),
-                              Key{min_free_cpu, -1});
-      }
-      for (; it != bucket.end(); ++it) {
-        if (fn(MachineId(it->second))) return true;
-      }
-    }
-    return false;
+    return ScanFrom(Key{min_free_cpu, -1}, fn);
   }
 
   // Resume a best-fit scan strictly after the key (free_cpu, machine):
   // same ascending (free, id) order as ScanAscending, but every key <= the
-  // given one is skipped. The task run placer (core::TaskScheduler::
-  // PlaceRun) resumes where the previous winner was discovered — the
-  // skipped prefix is exactly the machines that already rejected this
-  // request shape and have not changed since, plus exhausted ex-winners
-  // re-keyed to smaller keys.
+  // given one is skipped. Resumable walks (the task run placer, the group
+  // waterfall's snapshot, the batched parallel walk) continue where they
+  // stopped without re-reading the prefix.
   template <typename Fn>
   bool ScanAscendingFrom(std::int64_t free_cpu, std::int32_t machine,
                          Fn&& fn) const {
-    const std::size_t first = BucketOf(free_cpu);
-    for (std::size_t b = first; b < buckets_.size(); ++b) {
-      const Bucket& bucket = buckets_[b];
-      auto it = bucket.begin();
-      if (b == first) {
-        it = std::lower_bound(bucket.begin(), bucket.end(),
-                              Key{free_cpu, machine + 1});
-      }
-      for (; it != bucket.end(); ++it) {
-        if (fn(MachineId(it->second))) return true;
-      }
-    }
-    return false;
+    return ScanFrom(Key{free_cpu, machine + 1}, fn);
   }
 
   // Visit machines in descending free order (emptiest first).
   template <typename Fn>
   bool ScanDescending(Fn&& fn) const {
-    for (auto b = buckets_.rbegin(); b != buckets_.rend(); ++b) {
-      for (auto it = std::make_reverse_iterator(b->end());
-           it != std::make_reverse_iterator(b->begin()); ++it) {
+    const ScanGuard guard(*this);
+    for (auto b = blocks_.rbegin(); b != blocks_.rend(); ++b) {
+      for (auto it = b->rbegin(); it != b->rend(); ++it) {
         if (fn(MachineId(it->second))) return true;
       }
     }
     return false;
   }
 
-  // The single tightest machine with free CPU >= need, or Invalid.
-  [[nodiscard]] MachineId TightestWithAtLeast(std::int64_t need) const;
-
  private:
   using Key = std::pair<std::int64_t, std::int32_t>;
 
-  // Sorted vector with a dead prefix. Best-fit drains a run of equal-free
-  // machines (e.g. the all-idle bucket right after Attach) strictly from
-  // the front — lowest id first — and a plain vector::erase there memmoves
-  // the whole bucket per placement. The head offset turns exactly that
-  // pattern into O(1); the dead prefix is compacted away once it outgrows
-  // the live part.
-  struct Bucket {
-    std::vector<Key> keys;
-    std::size_t head = 0;
-
-    [[nodiscard]] auto begin() const { return keys.begin() + head; }
-    [[nodiscard]] auto end() const { return keys.end(); }
-
-    void Erase(std::vector<Key>::const_iterator it) {
-      if (it == begin()) {
-        if (++head == keys.size()) {
-          keys.clear();
-          head = 0;
-        } else if (head > 64 && head > keys.size() / 2) {
-          keys.erase(keys.begin(),
-                     keys.begin() + static_cast<std::ptrdiff_t>(head));
-          head = 0;
-        }
-      } else {
-        keys.erase(it);
-      }
+  // Counts scans in flight so DCHECK builds catch a re-key under a walk.
+  struct ScanGuard {
+    explicit ScanGuard(const FreeIndex& index) : scans(index.scans_) {
+      scans += ALADDIN_DCHECK_IS_ON();
     }
-
-    void Insert(const Key& key) {
-      keys.insert(std::upper_bound(begin(), keys.cend(), key), key);
-    }
+    ~ScanGuard() { scans -= ALADDIN_DCHECK_IS_ON(); }
+    int& scans;
   };
 
-  // Bucket count trades re-key memmove size (entries per bucket) against
-  // empty-bucket skips during scans; 1024 keeps both in cache-line noise
-  // at the 10k-machine scale.
-  static constexpr std::size_t kBuckets = 1024;
-
-  [[nodiscard]] std::size_t BucketOf(std::int64_t free_cpu) const {
-    if (free_cpu <= 0) return 0;
-    const auto b = static_cast<std::size_t>(free_cpu / bucket_width_);
-    return b < buckets_.size() ? b : buckets_.size() - 1;
+  // Visit every key >= first in ascending order until fn returns true.
+  template <typename Fn>
+  bool ScanFrom(const Key& first, Fn& fn) const {
+    const ScanGuard guard(*this);
+    const std::size_t first_block = BlockOf(first);
+    for (std::size_t b = first_block; b < blocks_.size(); ++b) {
+      const std::vector<Key>& keys = blocks_[b];
+      auto it = b == first_block
+                    ? std::lower_bound(keys.begin(), keys.end(), first)
+                    : keys.begin();
+      for (; it != keys.end(); ++it) {
+        if (fn(MachineId(it->second))) return true;
+      }
+    }
+    return false;
   }
 
+  // The first block whose largest key is >= key (block_count() if none).
+  [[nodiscard]] std::size_t BlockOf(const Key& key) const {
+    return static_cast<std::size_t>(
+        std::lower_bound(maxima_.begin(), maxima_.end(), key) -
+        maxima_.begin());
+  }
+
+  void Insert(const Key& key);
+  void Erase(const Key& key);
+  // Merges block b + 1 into block b and retires it to the pool.
+  void MergeWithNext(std::size_t b);
+
   const ClusterState* state_ = nullptr;
-  std::int64_t bucket_width_ = 1;
-  std::vector<Bucket> buckets_;
+  std::vector<std::vector<Key>> blocks_;  // live blocks, ascending
+  std::vector<Key> maxima_;               // maxima_[b] == blocks_[b].back()
+  std::vector<std::vector<Key>> spare_;   // retired blocks, capacity kept
   std::vector<std::int64_t> indexed_free_;
+  mutable int scans_ = 0;
 };
 
 }  // namespace aladdin::cluster

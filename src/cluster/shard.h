@@ -96,9 +96,6 @@ class ShardView {
   [[nodiscard]] MachineId ToGlobal(MachineId local) const {
     return plan_->GlobalOf(shard_, local);
   }
-  [[nodiscard]] MachineId ToLocal(MachineId global) const {
-    return plan_->LocalOf(global);
-  }
 
   // Re-syncs one machine: evicts residents the global machine no longer
   // holds, then deploys the ones it gained. Idempotent; safe under any

@@ -32,28 +32,20 @@ void AggregatedNetwork::Attach(cluster::ClusterState* state) {
   dirty_cursor_ = state_->DirtyLogEnd();
 
   const std::size_t machines = topology_->machine_count();
-  by_free_.clear();
+  index_.Attach(*state_);
   // analyze:allow(A103) Attach is the full (re)build; per-tick Sync() replays the dirty log
-  indexed_free_.assign(machines, 0);
-  epoch_.assign(machines, 0);  // analyze:allow(A103) rebuild arm, as above
-  rack_free_.assign(topology_->rack_count(), {});  // analyze:allow(A103) rebuild arm, as above
-  subcluster_free_.assign(topology_->subcluster_count(), {});  // analyze:allow(A103) rebuild arm, as above
+  epoch_.assign(machines, 0);
   rack_max_.assign(topology_->rack_count(), 0);  // analyze:allow(A103) rebuild arm, as above
+  subcluster_max_.assign(topology_->subcluster_count(), 0);  // analyze:allow(A103) rebuild arm, as above
   il_memo_.assign(state->applications().size(), {});  // analyze:allow(A103) rebuild arm, as above
-
-  // Build rack multisets first, then seed sub-cluster maxima.
   for (const auto& machine : topology_->machines()) {
-    const std::int64_t free = state_->Free(machine.id).cpu_millis();
-    indexed_free_[Idx(machine.id)] = free;
-    by_free_.insert({free, machine.id.value()});
-    rack_free_[Idx(machine.rack)].insert(free);
+    std::int64_t& rmax = rack_max_[Idx(machine.rack)];
+    rmax = std::max(rmax, IndexedFree(machine.id));
   }
-  for (std::size_t r = 0; r < rack_free_.size(); ++r) {
-    const auto& set = rack_free_[r];
-    rack_max_[r] = set.empty() ? 0 : *set.rbegin();
-    const auto g = topology_->RackSubCluster(
-        cluster::RackId(static_cast<std::int32_t>(r)));
-    subcluster_free_[Idx(g)].insert(rack_max_[r]);
+  for (std::size_t r = 0; r < rack_max_.size(); ++r) {
+    std::int64_t& gmax = subcluster_max_[Idx(topology_->RackSubCluster(
+        cluster::RackId(static_cast<std::int32_t>(r))))];
+    gmax = std::max(gmax, rack_max_[r]);
   }
 }
 
@@ -78,7 +70,7 @@ void AggregatedNetwork::Sync() {
     // Noop fast path: nothing changed behind our back since the last
     // replay, so the aggregates are already coherent — skip the phase
     // scope and the replay loop entirely. Witnessed by the counter so the
-    // batch path's "one Refresh per micro-batch" claim is testable.
+    // batch path's "one Sync per micro-batch" claim is testable.
     ALADDIN_METRIC_ADD("core/net_sync_noop", 1);
     return;
   }
@@ -105,31 +97,33 @@ void AggregatedNetwork::Reindex(cluster::MachineId m) {
 }
 
 void AggregatedNetwork::ReindexKeys(cluster::MachineId m) {
-  const std::int64_t old_free = indexed_free_[Idx(m)];
+  const std::int64_t old_free = IndexedFree(m);
   const std::int64_t new_free = FreeCpu(m);
   if (old_free == new_free) return;
+  index_.OnChanged(m);
 
-  // Re-key via node extraction: erase+insert would free and re-malloc a
-  // tree node per mutation, and Reindex runs once per Deploy/Evict.
-  auto nh = by_free_.extract({old_free, m.value()});
-  ALADDIN_DCHECK(!nh.empty());
-  nh.value() = {new_free, m.value()};
-  by_free_.insert(std::move(nh));
-  indexed_free_[Idx(m)] = new_free;
-
+  // A maximum only needs its members re-read when its holder shrank.
   const cluster::RackId rack = topology_->machine(m).rack;
-  auto& rset = rack_free_[Idx(rack)];
-  auto rh = rset.extract(rset.find(old_free));
-  rh.value() = new_free;
-  rset.insert(std::move(rh));
-  const std::int64_t new_rack_max = rset.empty() ? 0 : *rset.rbegin();
-  if (new_rack_max != rack_max_[Idx(rack)]) {
-    const auto g = topology_->RackSubCluster(rack);
-    auto& gset = subcluster_free_[Idx(g)];
-    auto gh = gset.extract(gset.find(rack_max_[Idx(rack)]));
-    gh.value() = new_rack_max;
-    gset.insert(std::move(gh));
-    rack_max_[Idx(rack)] = new_rack_max;
+  std::int64_t& rmax = rack_max_[Idx(rack)];
+  const std::int64_t old_rmax = rmax;
+  if (new_free > rmax) {
+    rmax = new_free;
+  } else if (old_free == rmax) {
+    rmax = 0;
+    for (cluster::MachineId peer : topology_->RackMachines(rack)) {
+      rmax = std::max(rmax, IndexedFree(peer));
+    }
+  }
+  if (rmax == old_rmax) return;
+  const cluster::SubClusterId g = topology_->RackSubCluster(rack);
+  std::int64_t& gmax = subcluster_max_[Idx(g)];
+  if (rmax > gmax) {
+    gmax = rmax;
+  } else if (old_rmax == gmax) {
+    gmax = 0;
+    for (cluster::RackId peer : topology_->SubClusterRacks(g)) {
+      gmax = std::max(gmax, rack_max_[Idx(peer)]);
+    }
   }
 }
 
@@ -153,29 +147,12 @@ void AggregatedNetwork::Evict(cluster::ContainerId c) {
   if (dirty_cursor_ == before) dirty_cursor_ = state_->DirtyLogEnd();
 }
 
-void AggregatedNetwork::Migrate(cluster::ContainerId c, cluster::MachineId to) {
-  const cluster::MachineId from = state_->PlacementOf(c);
-  const std::uint64_t before = state_->DirtyLogEnd();
-  state_->Migrate(c, to);
-  Reindex(from);
-  Reindex(to);
-  if (dirty_cursor_ == before) dirty_cursor_ = state_->DirtyLogEnd();
-}
-
-void AggregatedNetwork::Preempt(cluster::ContainerId c) {
-  const cluster::MachineId m = state_->PlacementOf(c);
-  const std::uint64_t before = state_->DirtyLogEnd();
-  state_->Preempt(c);
-  Reindex(m);
-  if (dirty_cursor_ == before) dirty_cursor_ = state_->DirtyLogEnd();
-}
-
 void AggregatedNetwork::DeployKeyDeferred(cluster::ContainerId c,
                                           cluster::MachineId m) {
   // Same contract as Deploy(), except the sorted-key update is deferred:
   // the epoch bump (IL memo invalidation) is taken eagerly so memo
-  // semantics match the serial wrapper exactly, while by_free_/rack
-  // aggregates stay frozen until the group flush re-keys the moved set.
+  // semantics match the serial wrapper exactly, while the index and the
+  // rack maxima stay frozen until the group flush re-keys the moved set.
   const std::uint64_t before = state_->DirtyLogEnd();
   state_->Deploy(c, m);
   ++epoch_[Idx(m)];
@@ -209,26 +186,30 @@ ALADDIN_HOT std::size_t AggregatedNetwork::PlaceGroupRun(
   group_moved_.clear();
   group_prefix_failed_.clear();
 
-  // No re-key touches by_free_ until the flush, so this iterator survives
-  // the whole run: the frozen snapshot extends lazily, chunk by chunk, only
-  // as far as the merged walks actually reach. Machines deployed mid-run
-  // are only ever ones the walk already materialised, so chunks past the
-  // frontier never hold a stale key.
-  auto snap_it = by_free_.lower_bound({need, -1});
-  bool snap_done = (snap_it == by_free_.end());
+  // No re-key touches the index until the flush, so every key stays where
+  // it was: the frozen snapshot extends lazily, chunk by chunk, resuming
+  // after its last entry, only as far as the merged walks actually reach.
+  // Machines deployed mid-run are only ever ones the walk already
+  // materialised, so chunks past the frontier never hold a stale key.
+  bool snap_done = false;
   auto extend_snapshot = [&] {
     if (snap_done) return;
     constexpr std::size_t kChunk = 64;
     auto& machines = group_chunk_machines_;
     machines.clear();
     const std::size_t base = group_snapshot_.size();
-    for (std::size_t n = 0; snap_it != by_free_.end() && n < kChunk;
-         ++snap_it, ++n) {
+    auto take = [&](cluster::MachineId m) {
       group_snapshot_.push_back(
-          GroupEntry{snap_it->first, snap_it->second, kGroupFresh, 0});
-      machines.push_back(snap_it->second);
+          GroupEntry{IndexedFree(m), m.value(), kGroupFresh, 0});
+      machines.push_back(m.value());
+      return machines.size() == kChunk;
+    };
+    if (base == 0) {
+      snap_done = !index_.ScanAscending(need, take);
+    } else {
+      const GroupEntry& last = group_snapshot_[base - 1];
+      snap_done = !index_.ScanAscendingFrom(last.free, last.machine, take);
     }
-    snap_done = (snap_it == by_free_.end());
     // analyze:allow(A103) pooled scratch, capacity retained across runs
     group_chunk_fits_.resize(machines.size());
     // Batched Eq. 6 over the chunk: one shared request tuple against a flat
@@ -428,39 +409,43 @@ obs::Cause AggregatedNetwork::DiagnoseFailure(cluster::ContainerId c) const {
   ALADDIN_CHECK(state_ != nullptr);
   const cluster::Container& container = state_->containers()[Idx(c)];
   const std::int64_t need_cpu = container.request.cpu_millis();
-  // O(1) global-headroom check: by_free_ is sorted by free CPU, so the last
-  // key is the cluster's emptiest machine.
-  if (by_free_.empty() || by_free_.rbegin()->first < need_cpu) {
-    return obs::Cause::kCapacityExhaustedCpu;
-  }
+  // Global-headroom check: the first key of a descending scan is the
+  // cluster's emptiest machine.
+  std::int64_t emptiest = -1;
+  index_.ScanDescending([&](cluster::MachineId m) {
+    emptiest = IndexedFree(m);
+    return true;
+  });
+  if (emptiest < need_cpu) return obs::Cause::kCapacityExhaustedCpu;
   const bool self_conflicts =
       state_->constraints().Conflicts(container.app, container.app);
   std::int64_t mem_blocked = 0;
   std::int64_t intra_blocked = 0;
   std::int64_t inter_blocked = 0;
-  for (auto it = by_free_.lower_bound({need_cpu, -1}); it != by_free_.end();
-       ++it) {
-    const cluster::MachineId m(it->second);
-    const CapacityCheck check = CapacityFunction::Evaluate(*state_, c, m);
-    if (check.Admits()) return obs::Cause::kNoAdmissiblePath;
-    if (!check.fits) {
-      ++mem_blocked;
-      continue;
-    }
-    // Blacklisted: attribute to the container's own application when its
-    // within-app anti-affinity is what blocks this machine, else to a
-    // conflicting foreign application.
-    bool intra = false;
-    if (self_conflicts) {
-      for (const auto& [app, count] : state_->AppsOn(m)) {
-        if (app == container.app.value() && count > 0) {
-          intra = true;
-          break;
+  const bool admissible =
+      index_.ScanAscending(need_cpu, [&](cluster::MachineId m) {
+        const CapacityCheck check = CapacityFunction::Evaluate(*state_, c, m);
+        if (check.Admits()) return true;
+        if (!check.fits) {
+          ++mem_blocked;
+          return false;
         }
-      }
-    }
-    ++(intra ? intra_blocked : inter_blocked);
-  }
+        // Blacklisted: attribute to the container's own application when
+        // its within-app anti-affinity is what blocks this machine, else to
+        // a conflicting foreign application.
+        bool intra = false;
+        if (self_conflicts) {
+          for (const auto& [app, count] : state_->AppsOn(m)) {
+            if (app == container.app.value() && count > 0) {
+              intra = true;
+              break;
+            }
+          }
+        }
+        ++(intra ? intra_blocked : inter_blocked);
+        return false;
+      });
+  if (admissible) return obs::Cause::kNoAdmissiblePath;
   // Dominant cause wins; anti-affinity outranks memory on ties (a blocked
   // machine with the memory free is the more actionable explanation), and
   // intra outranks inter (the container's own app is the simpler story).
@@ -490,10 +475,9 @@ cluster::MachineId AggregatedNetwork::FindByEnumeration(
   std::int64_t best_free = 0;
   // Walk A → G_k → R_x → N_y, pruning aggregates whose residual cannot
   // admit the request.
-  for (std::size_t g = 0; g < subcluster_free_.size(); ++g) {
+  for (std::size_t g = 0; g < subcluster_max_.size(); ++g) {
     ++counters.explored_paths;  // G vertex probe
-    const auto& gset = subcluster_free_[g];
-    if (gset.empty() || *gset.rbegin() < need) continue;
+    if (subcluster_max_[g] < need) continue;
     for (cluster::RackId rack : topology_->SubClusterRacks(
              cluster::SubClusterId(static_cast<std::int32_t>(g)))) {
       ++counters.explored_paths;  // R vertex probe
@@ -512,7 +496,7 @@ cluster::MachineId AggregatedNetwork::FindByEnumeration(
           if (use_il && check.blacklisted) RecordIlFailure(app, m);
           continue;
         }
-        const std::int64_t free = indexed_free_[Idx(m)];
+        const std::int64_t free = IndexedFree(m);
         if (!best.valid() || free < best_free ||
             (free == best_free && m < best)) {
           best = m;
@@ -533,13 +517,12 @@ cluster::MachineId AggregatedNetwork::FindByBestFitWalk(
       options.enable_il &&
       state_->applications()[Idx(app)].containers.size() > 1;
 
-  for (auto it = by_free_.lower_bound({need, -1}); it != by_free_.end();
-       ++it) {
-    const cluster::MachineId m(it->second);
-    if (m == exclude) continue;
+  cluster::MachineId found = cluster::MachineId::Invalid();
+  index_.ScanAscending(need, [&](cluster::MachineId m) {
+    if (m == exclude) return false;
     if (use_il && IlPruned(app, m)) {
       ++counters.il_prunes;
-      continue;
+      return false;
     }
     ++counters.explored_paths;
     const CapacityCheck check = CapacityFunction::Evaluate(*state_, c, m);
@@ -547,11 +530,13 @@ cluster::MachineId AggregatedNetwork::FindByBestFitWalk(
       // Depth limiting: this path saturates the container's s→T_i edge;
       // no further path can increase its flow (§IV.A, Fig. 5b).
       ++counters.dl_stops;
-      return m;
+      found = m;
+      return true;
     }
     if (use_il) RecordIlFailure(app, m);
-  }
-  return cluster::MachineId::Invalid();
+    return false;
+  });
+  return found;
 }
 
 cluster::MachineId AggregatedNetwork::BestFitWalkParallel(
@@ -576,23 +561,28 @@ cluster::MachineId AggregatedNetwork::BestFitWalkParallel(
   std::vector<std::size_t>& eval = walk_eval_;  // indices into `items`
   std::vector<std::uint8_t>& admitted = walk_admitted_;
 
-  auto it = by_free_.lower_bound({need, -1});
-  const auto end = by_free_.end();
   // Batch sizes are a fixed schedule (growing: warm clusters admit within a
   // few probes, cold searches amortise the fan-out), independent of worker
-  // count and timing — determinism does not ride on load balance.
+  // count and timing — determinism does not ride on load balance. Each
+  // batch resumes the index scan after the last machine gathered.
   std::size_t batch = 8;
   constexpr std::size_t kMaxBatch = 512;
-  while (it != end) {
+  cluster::MachineId last = cluster::MachineId::Invalid();
+  bool more = true;
+  while (more) {
     items.clear();
     eval.clear();
-    for (; it != end && eval.size() < batch; ++it) {
-      const cluster::MachineId m(it->second);
-      if (m == exclude) continue;  // serial walk skips silently
+    auto gather = [&](cluster::MachineId m) {
+      last = m;
+      if (m == exclude) return false;  // serial walk skips silently
       const bool pruned = use_il && IlPruned(app, m);
       items.push_back(WalkItem{m.value(), pruned});
       if (!pruned) eval.push_back(items.size() - 1);
-    }
+      return eval.size() == batch;
+    };
+    more = last.valid() ? index_.ScanAscendingFrom(IndexedFree(last),
+                                                   last.value(), gather)
+                        : index_.ScanAscending(need, gather);
     // analyze:allow(A103) pooled scratch, capacity retained across walks
     admitted.assign(eval.size(), 0);
     ParallelFor(*options.pool, 0, eval.size(), [&](std::size_t i) {
@@ -635,7 +625,7 @@ cluster::MachineId AggregatedNetwork::EnumerateParallel(
     SearchCounters& counters, cluster::MachineId exclude) {
   // Sub-clusters partition the machines, so their walks are independent;
   // with a single sub-cluster there is nothing to fan out.
-  if (subcluster_free_.size() < 2) {
+  if (subcluster_max_.size() < 2) {
     return FindByEnumeration(c, options, counters, exclude);
   }
   const cluster::ApplicationId app = state_->containers()[Idx(c)].app;
@@ -654,13 +644,12 @@ cluster::MachineId AggregatedNetwork::EnumerateParallel(
   // persist in enum_results_; each task clears only its own slot.
   std::vector<SubResult>& results = enum_results_;
   // analyze:allow(A103) pooled slots, sized once per topology then reused
-  results.resize(subcluster_free_.size());
-  ParallelFor(*options.pool, 0, subcluster_free_.size(), [&](std::size_t g) {
+  results.resize(subcluster_max_.size());
+  ParallelFor(*options.pool, 0, subcluster_max_.size(), [&](std::size_t g) {
     SubResult& out = results[g];
     out.Clear();
     ++out.explored;  // G vertex probe
-    const auto& gset = subcluster_free_[g];
-    if (gset.empty() || *gset.rbegin() < need) return;
+    if (subcluster_max_[g] < need) return;
     for (cluster::RackId rack : topology_->SubClusterRacks(
              cluster::SubClusterId(static_cast<std::int32_t>(g)))) {
       ++out.explored;  // R vertex probe
@@ -677,7 +666,7 @@ cluster::MachineId AggregatedNetwork::EnumerateParallel(
           if (use_il && check.blacklisted) out.il_failures.push_back(m.value());
           continue;
         }
-        const std::int64_t free = indexed_free_[Idx(m)];
+        const std::int64_t free = IndexedFree(m);
         if (out.best < 0 || free < out.best_free ||
             (free == out.best_free && m.value() < out.best)) {
           out.best = m.value();

@@ -24,10 +24,10 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <span>
 #include <vector>
 
+#include "cluster/free_index.h"
 #include "cluster/state.h"
 #include "common/thread_pool.h"
 #include "core/capacity.h"
@@ -52,8 +52,6 @@ struct SearchCounters {
   std::int64_t explored_paths = 0;  // machine (and aggregate) probes
   std::int64_t il_prunes = 0;
   std::int64_t dl_stops = 0;
-
-  void Reset() { *this = SearchCounters{}; }
 };
 
 class AggregatedNetwork {
@@ -76,11 +74,6 @@ class AggregatedNetwork {
   // so memoised IL failures for them are naturally invalidated.
   void Sync();
 
-  // Batch-refresh alias (ROADMAP item 4 / ISSUE 9 vocabulary): apply all of
-  // a micro-batch's accumulated arrivals/departures in one replay of the
-  // dirty log. Identical to Sync(); the name marks batch call sites.
-  void Refresh() { Sync(); }
-
   // Algorithm 1's getShortestPath for one container: returns the tightest
   // machine admitted by the capacity function, or Invalid. The same machine
   // is returned for every option combination; options only change how much
@@ -95,8 +88,8 @@ class AggregatedNetwork {
   // Group-decomposed placement (ISSUE 9 tentpole): places a *run* of
   // isomorphic siblings — same application, identical request tuple, all
   // currently unplaced — in one sorted-capacity waterfall over flat arrays
-  // instead of `run.size()` independent best-fit walks over the by_free_
-  // tree. Requires enable_dl (the waterfall IS the first-admissible walk)
+  // instead of `run.size()` independent best-fit walks over the free-CPU
+  // index. Requires enable_dl (the waterfall IS the first-admissible walk)
   // and run.size() >= 2; callers route other cases through FindMachine.
   //
   // The walk replays the serial per-sibling search *exactly*: machines are
@@ -105,7 +98,7 @@ class AggregatedNetwork {
   // tuple is shared by the whole run), blacklist probes stay live (self-
   // anti-affinity flips mid-run), and IL memo reads/writes land exactly
   // where the serial walk would put them. Deploys happen inside (epoch
-  // bumped eagerly, by_free_ re-key deferred to one flush at the end), so
+  // bumped eagerly, index re-key deferred to one flush at the end), so
   // placements, SearchCounters, IL memo contents and machine epochs are all
   // bit-identical to calling FindMachine+Deploy per sibling. out[i] gets
   // the machine for run[i] (Invalid = unplaced; failures are a suffix).
@@ -130,48 +123,32 @@ class AggregatedNetwork {
   // State mutations, mirrored into the aggregate indices.
   void Deploy(cluster::ContainerId c, cluster::MachineId m);
   void Evict(cluster::ContainerId c);
-  void Migrate(cluster::ContainerId c, cluster::MachineId to);
-  void Preempt(cluster::ContainerId c);
 
   // Repair-engine scan: visit machines in descending-free-CPU order (most
-  // headroom first) until `fn` returns true or `limit` machines seen.
-  // Templated on the callable so repair's capturing lambdas bind directly —
-  // a std::function here would heap-allocate per scan on the hot path.
+  // headroom first) until `fn` returns true. `fn` must not mutate the
+  // network (FreeIndex forbids re-keys under a scan): repair gathers its
+  // candidates first, then restructures.
   template <typename Fn>
-  void ScanDescending(int limit, Fn&& fn) const {
-    int seen = 0;
-    for (auto it = by_free_.rbegin(); it != by_free_.rend() && seen < limit;
-         ++it, ++seen) {
-      if (fn(cluster::MachineId(it->second))) return;
-    }
-  }
-
-  // Ascending-free (best-fit) scan from the first machine with free CPU >=
-  // `min_free_cpu`.
-  template <typename Fn>
-  void ScanAscending(std::int64_t min_free_cpu, int limit, Fn&& fn) const {
-    int seen = 0;
-    for (auto it = by_free_.lower_bound({min_free_cpu, -1});
-         it != by_free_.end() && seen < limit; ++it, ++seen) {
-      if (fn(cluster::MachineId(it->second))) return;
-    }
+  void ScanDescending(Fn&& fn) const {
+    index_.ScanDescending(fn);
   }
 
   [[nodiscard]] cluster::ClusterState* state() { return state_; }
-  [[nodiscard]] std::uint32_t MachineEpoch(cluster::MachineId m) const {
-    return epoch_[static_cast<std::size_t>(m.value())];
+  // The free CPU machine m is filed under in the N_y → t index. Equals its
+  // live free CPU except inside PlaceGroupRun, whose re-keys are deferred.
+  [[nodiscard]] std::int64_t IndexedFree(cluster::MachineId m) const {
+    return index_.IndexedFree(m);
   }
 
  private:
-  using Key = std::pair<std::int64_t, std::int32_t>;  // (free cpu, machine)
-
   void Reindex(cluster::MachineId m);
-  // The key-only half of Reindex: re-keys by_free_ / rack / sub-cluster
-  // aggregates to the machine's live free CPU *without* bumping its change
-  // epoch. Early-outs when the key already matches, so a deferred flush may
-  // call it once per deploy of the same machine. PlaceGroupRun pairs it
-  // with DeployKeyDeferred, which bumps the epoch at deploy time (matching
-  // the serial wrapper) but leaves the sorted keys frozen for the walk.
+  // The key-only half of Reindex: re-keys the free-CPU index and the rack /
+  // sub-cluster maxima to the machine's live free CPU *without* bumping its
+  // change epoch. Early-outs when the key already matches, so a deferred
+  // flush may call it once per deploy of the same machine. PlaceGroupRun
+  // pairs it with DeployKeyDeferred, which bumps the epoch at deploy time
+  // (matching the serial wrapper) but leaves the sorted keys frozen for the
+  // walk.
   void ReindexKeys(cluster::MachineId m);
   void DeployKeyDeferred(cluster::ContainerId c, cluster::MachineId m);
   [[nodiscard]] std::int64_t FreeCpu(cluster::MachineId m) const;
@@ -227,9 +204,10 @@ class AggregatedNetwork {
 
   // Group-waterfall scratch (PlaceGroupRun), hoisted so steady-state runs
   // allocate nothing. The snapshot is the frozen (free, machine) prefix of
-  // by_free_ materialised lazily in chunks; `touched` holds winners
-  // re-inserted at their live keys; `moved` collects machines whose by_free_
-  // re-key is deferred to the end-of-run flush.
+  // the index materialised lazily in chunks, with per-entry walk state and
+  // Eq. 6 bits; `touched` holds winners re-inserted at their live keys;
+  // `moved` collects machines whose index re-key is deferred to the
+  // end-of-run flush.
   struct GroupEntry {
     std::int64_t free;
     std::int32_t machine;
@@ -259,13 +237,13 @@ class AggregatedNetwork {
   const cluster::Topology* topology_;
   cluster::ClusterState* state_ = nullptr;
 
-  std::set<Key> by_free_;                     // N_y → t residuals, sorted
-  std::vector<std::int64_t> indexed_free_;    // key currently in by_free_
-  std::vector<std::uint32_t> epoch_;          // per-machine change counter
-  // Aggregate residuals for the R_x and G_k vertices.
-  std::vector<std::multiset<std::int64_t>> rack_free_;        // per rack
-  std::vector<std::multiset<std::int64_t>> subcluster_free_;  // rack maxima
-  std::vector<std::int64_t> rack_max_;  // cached current max per rack
+  cluster::FreeIndex index_;          // N_y → t residuals, sorted
+  std::vector<std::uint32_t> epoch_;  // per-machine change counter
+  // Aggregate residuals for the R_x and G_k vertices: the largest indexed
+  // free CPU beneath each. A maximum is recomputed from its members only
+  // when the machine (or rack) holding it shrinks.
+  std::vector<std::int64_t> rack_max_;
+  std::vector<std::int64_t> subcluster_max_;
 
   // Per-app memo arrays, lazily sized to machine_count on the app's first
   // recorded failure: entry = machine epoch at failure + 1, 0 = no memo.

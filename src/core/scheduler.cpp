@@ -17,6 +17,12 @@ namespace aladdin::core {
 
 namespace {
 
+// Repair passes per Schedule(), compaction sweeps, and the compaction
+// migration ceiling as a fraction of the workload's containers.
+constexpr int kMaxRepairPasses = 4;
+constexpr int kCompactionPasses = 3;
+constexpr double kCompactionMigrationFraction = 0.02;
+
 #if ALADDIN_DCHECK_IS_ON()
 // Post-solve cross-check (compiled out in Release): the placements Aladdin
 // emitted must survive the independent auditor. Medea-style schedulers may
@@ -323,11 +329,10 @@ ALADDIN_HOT sim::ScheduleOutcome AladdinScheduler::ScheduleOne(
   // Augmenting the network keeps going "until f(i,j) = 0": each repair pass
   // migrates blockers around, which can open paths for containers an
   // earlier pass gave up on, so we iterate until a pass makes no progress.
-  RepairEngine repair(network, weights_, options_.repair, &repair_scratch_);
+  RepairEngine repair(network, weights_, &repair_scratch_);
   if (options_.enable_repair) {
     ALADDIN_PHASE_SCOPE("core/repair");
-    for (int pass = 0; pass < options_.max_repair_passes && !pending.empty();
-         ++pass) {
+    for (int pass = 0; pass < kMaxRepairPasses && !pending.empty(); ++pass) {
       const std::size_t before = pending.size();
       pending = repair.Repair(std::move(pending), search, counters);
       ++outcome.rounds;
@@ -338,10 +343,10 @@ ALADDIN_HOT sim::ScheduleOutcome AladdinScheduler::ScheduleOne(
   // --- Phase 3: packing compaction. --------------------------------------
   if (options_.enable_compaction) {
     ALADDIN_PHASE_SCOPE("core/compact");
-    const auto budget = static_cast<std::int64_t>(std::llround(
-        options_.compaction_migration_fraction *
-        static_cast<double>(workload.container_count())));
-    repair.Compact(search, counters, options_.compaction_passes, budget);
+    const auto budget = static_cast<std::int64_t>(
+        std::llround(kCompactionMigrationFraction *
+                     static_cast<double>(workload.container_count())));
+    repair.Compact(search, counters, kCompactionPasses, budget);
     ++outcome.rounds;
     // Compaction may have opened admissible machines for stragglers.
     if (options_.enable_repair && !pending.empty()) {

@@ -44,18 +44,14 @@ struct AladdinOptions {
   std::int64_t weight_base = 16;
 
   // Repair / rescheduling (§III.B, §IV.D). Repair passes iterate until a
-  // pass stops making progress or this budget is hit (the cost stays within
-  // the paper's O(V·E²·c) bound, §IV.D).
+  // pass stops making progress or a fixed pass budget is hit (the cost
+  // stays within the paper's O(V·E²·c) bound, §IV.D).
   bool enable_repair = true;
-  int max_repair_passes = 4;
-  RepairOptions repair;
 
-  // Packing compaction (bounded; see RepairEngine::Compact).
+  // Packing compaction (bounded; see RepairEngine::Compact). Its migration
+  // ceiling is a fixed fraction of total containers, keeping Fig. 13(b) in
+  // the paper's ~1.7 % regime.
   bool enable_compaction = true;
-  int compaction_passes = 3;
-  // Ceiling on compaction migrations, as a fraction of total containers
-  // (keeps Fig. 13(b) in the paper's ~1.7 % regime).
-  double compaction_migration_fraction = 0.02;
 
   // Worker threads for the admissible-path search. 0 = hardware
   // concurrency, 1 = serial (no pool). Any value yields identical
@@ -84,7 +80,7 @@ class AladdinScheduler : public sim::Scheduler {
 
   // Batch-incremental entry point (ISSUE 9 tentpole): solves a micro-batch
   // of requests against one warm network — weights prepared once, one
-  // Refresh() up front, each request's own mutations folded in eagerly.
+  // network Sync() up front, each request's own mutations folded in eagerly.
   // Outcomes are emitted in request order and are bit-identical to calling
   // Schedule() per request (journal/ledger/SLO streams included); only the
   // core/net_syncs, core/net_sync_noop and core/weights_cached counters

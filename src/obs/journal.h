@@ -48,7 +48,7 @@ enum class Cause : std::uint8_t {  // analyze:closed_enum
   kAntiAffinityIntraApp,  // Eq. 7–8: blocked by the container's own app
   kAntiAffinityInterApp,  // Eq. 7–8: blocked by conflicting applications
   kNoAdmissiblePath,      // mixed/unknown blockers (defensive fallback)
-  kRepairAttemptBudget,   // repair gave up after max_attempts_per_container
+  kRepairAttemptBudget,   // repair gave up after its per-container attempts
   // Movement causes.
   kMigratedForRepair,     // moved aside to admit a blocked container
   kMigratedForRebalance,  // moved by the compaction pass (Fig. 7c)

@@ -4,6 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/audit.h"
 #include "cluster/constraints.h"
@@ -11,6 +16,8 @@
 #include "cluster/resources.h"
 #include "cluster/state.h"
 #include "cluster/topology.h"
+#include "common/check.h"
+#include "common/rng.h"
 #include "trace/workload.h"
 
 namespace aladdin::cluster {
@@ -312,16 +319,26 @@ TEST_F(StateTest, AppsOnTracksCounts) {
 
 // --------------------------------------------------------- free index ----
 
+// The tightest machine with free CPU >= need, or Invalid.
+MachineId TightestWithAtLeast(const FreeIndex& index, std::int64_t need) {
+  MachineId found = MachineId::Invalid();
+  index.ScanAscending(need, [&found](MachineId m) {
+    found = m;
+    return true;
+  });
+  return found;
+}
+
 TEST_F(StateTest, FreeIndexTightest) {
   ClusterState state = wl_.MakeState(topo_);
   state.Deploy(C(web_, 0), MachineId(0));  // machine 0 has 24 cores free
   FreeIndex index;
   index.Attach(state);
   // Tightest machine with >= 20 cores free is machine 0 (24 < 32).
-  EXPECT_EQ(index.TightestWithAtLeast(20000), MachineId(0));
+  EXPECT_EQ(TightestWithAtLeast(index, 20000), MachineId(0));
   // Tightest with >= 30 cores is the first untouched machine.
-  EXPECT_EQ(index.TightestWithAtLeast(30000), MachineId(1));
-  EXPECT_FALSE(index.TightestWithAtLeast(33000).valid());
+  EXPECT_EQ(TightestWithAtLeast(index, 30000), MachineId(1));
+  EXPECT_FALSE(TightestWithAtLeast(index, 33000).valid());
 }
 
 TEST_F(StateTest, FreeIndexOnChanged) {
@@ -330,7 +347,7 @@ TEST_F(StateTest, FreeIndexOnChanged) {
   index.Attach(state);
   state.Deploy(C(web_, 0), MachineId(2));
   index.OnChanged(MachineId(2));
-  EXPECT_EQ(index.TightestWithAtLeast(20000), MachineId(2));
+  EXPECT_EQ(TightestWithAtLeast(index, 20000), MachineId(2));
 }
 
 TEST_F(StateTest, FreeIndexScanOrder) {
@@ -353,6 +370,128 @@ TEST_F(StateTest, FreeIndexScanOrder) {
     return false;
   });
   EXPECT_TRUE(std::is_sorted(seen.rbegin(), seen.rend()));
+}
+
+TEST(FreeIndex, MatchesOrderedSetUnderChurn) {
+  // Homogeneous cluster: thousands of machines share the all-idle key, and
+  // the churn keeps returning machines to that run, so blocks split and
+  // merge throughout. Every scan must match a std::set of (free, id) keys.
+  constexpr std::size_t kMachines = 3000;
+  const Topology topo =
+      Topology::Uniform(kMachines, ResourceVector::Cores(32, 64));
+  trace::Workload wl;
+  for (int i = 0; i < 8; ++i) {
+    wl.AddApplication("app" + std::to_string(i), 1500,
+                      ResourceVector::Cores(1 + i, 2 + 2 * i));
+  }
+  ClusterState state = wl.MakeState(topo);
+  FreeIndex index;
+  index.Attach(state);
+  using Key = std::pair<std::int64_t, std::int32_t>;
+  std::set<Key> oracle;
+  for (std::size_t m = 0; m < kMachines; ++m) {
+    oracle.insert({state.Free(MachineId(static_cast<std::int32_t>(m)))
+                       .cpu_millis(),
+                   static_cast<std::int32_t>(m)});
+  }
+  const std::size_t max_blocks = 2 * kMachines / FreeIndex::kBlockKeys + 1;
+
+  auto collect_from = [&](auto scan) {
+    std::vector<std::int32_t> seen;
+    scan([&](MachineId m) {
+      seen.push_back(m.value());
+      return false;
+    });
+    return seen;
+  };
+  auto ids = [](auto first, auto last) {
+    std::vector<std::int32_t> out;
+    for (; first != last; ++first) out.push_back(first->second);
+    return out;
+  };
+  auto check = [&](Rng& rng) {
+    const Key probe = *std::next(
+        oracle.begin(),
+        static_cast<std::ptrdiff_t>(rng.UniformInt(0, kMachines - 1)));
+    const std::int64_t min_free = rng.Bernoulli(0.5)
+                                      ? probe.first
+                                      : rng.UniformInt(0, 33000);
+    EXPECT_EQ(collect_from([&](auto fn) {
+                index.ScanAscending(min_free, fn);
+              }),
+              ids(oracle.lower_bound({min_free, -1}), oracle.end()));
+    EXPECT_EQ(collect_from([&](auto fn) {
+                index.ScanAscendingFrom(probe.first, probe.second, fn);
+              }),
+              ids(oracle.upper_bound(probe), oracle.end()));
+    EXPECT_EQ(collect_from([&](auto fn) { index.ScanDescending(fn); }),
+              ids(oracle.rbegin(), oracle.rend()));
+    // An early stop returns true and visits exactly the prefix.
+    const auto stop_after = static_cast<std::size_t>(rng.UniformInt(1, 100));
+    std::size_t visited = 0;
+    EXPECT_TRUE(index.ScanAscending(0, [&](MachineId) {
+      return ++visited == stop_after;
+    }));
+    EXPECT_EQ(visited, stop_after);
+    EXPECT_LE(index.block_count(), max_blocks);
+  };
+
+  Rng rng(20261019);
+  check(rng);
+  std::size_t splits = 0;
+  std::size_t merges = 0;
+  const auto containers = static_cast<std::int64_t>(wl.container_count());
+  for (int step = 0; step < 30000; ++step) {
+    // Fill for the first half, drain for the second: machines leave the
+    // idle run, then return to it.
+    const bool filling = step < 15000;
+    const ContainerId c(
+        static_cast<std::int32_t>(rng.UniformInt(0, containers - 1)));
+    MachineId touched = MachineId::Invalid();
+    if (state.IsPlaced(c)) {
+      if (filling && !rng.Bernoulli(0.1)) continue;
+      touched = state.PlacementOf(c);
+      state.Evict(c);
+    } else {
+      if (!filling && !rng.Bernoulli(0.1)) continue;
+      const MachineId m(static_cast<std::int32_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(kMachines) - 1)));
+      if (!state.CanPlace(c, m)) continue;
+      state.Deploy(c, m);
+      touched = m;
+    }
+    oracle.erase({index.IndexedFree(touched), touched.value()});
+    const std::size_t blocks_before = index.block_count();
+    index.OnChanged(touched);
+    oracle.insert({state.Free(touched).cpu_millis(), touched.value()});
+    ASSERT_EQ(index.IndexedFree(touched), state.Free(touched).cpu_millis());
+    splits += index.block_count() > blocks_before ? 1 : 0;
+    merges += index.block_count() < blocks_before ? 1 : 0;
+    if (step % 97 == 0) check(rng);
+  }
+  check(rng);
+  // The churn really exercised both block operations.
+  EXPECT_GT(splits, 100u);
+  EXPECT_GT(merges, 100u);
+}
+
+TEST_F(StateTest, FreeIndexRekeyDuringScanDies) {
+  if (!ALADDIN_DCHECK_IS_ON()) GTEST_SKIP() << "the scan guard is DCHECK-only";
+  ClusterState state = wl_.MakeState(topo_);
+  FreeIndex index;
+  index.Attach(state);
+  // A re-key under a walk can move the keys the walk is about to read;
+  // callers must gather candidates first and mutate after the scan.
+  EXPECT_DEATH(index.ScanDescending([&](MachineId m) {
+    state.Deploy(C(batch_, 0), m);
+    index.OnChanged(m);
+    return true;
+  }),
+               "inside a scan");
+  // Outside a scan the same re-key is fine.
+  state.Deploy(C(batch_, 0), MachineId(0));
+  index.OnChanged(MachineId(0));
+  EXPECT_EQ(index.IndexedFree(MachineId(0)), 31000);
 }
 
 // -------------------------------------------------------------- audit ----

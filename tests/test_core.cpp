@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "cluster/audit.h"
+#include "common/rng.h"
 #include "core/capacity.h"
 #include "core/migration.h"
 #include "core/network.h"
@@ -297,20 +299,12 @@ TEST_F(NetworkTest, ScansAreOrderedAndBounded) {
   network.Deploy(C(app_, 0), MachineId(2));
 
   std::vector<std::int64_t> desc;
-  network.ScanDescending(3, [&](MachineId m) {
+  network.ScanDescending([&](MachineId m) {
     desc.push_back(state.Free(m).cpu_millis());
-    return false;
+    return desc.size() == 3;
   });
   EXPECT_EQ(desc.size(), 3u);
   EXPECT_TRUE(std::is_sorted(desc.rbegin(), desc.rend()));
-
-  std::vector<std::int64_t> asc;
-  network.ScanAscending(0, 100, [&](MachineId m) {
-    asc.push_back(state.Free(m).cpu_millis());
-    return false;
-  });
-  EXPECT_EQ(asc.size(), 6u);
-  EXPECT_TRUE(std::is_sorted(asc.begin(), asc.end()));
 }
 
 // -------------------------------------------------------------- repair ----
@@ -335,7 +329,7 @@ TEST(Repair, MigrationScenarioFig3b) {
   network.Deploy(wl.application(a).containers[0], m_big);
 
   const PriorityWeights weights = ComputeMinimalWeights(wl);
-  RepairEngine repair(network, weights, RepairOptions{});
+  RepairEngine repair(network, weights);
   SearchCounters counters;
   const auto unplaced = repair.Repair({wl.application(b).containers[0]},
                                       SearchOptions{}, counters);
@@ -365,7 +359,7 @@ TEST(Repair, PreemptionOnlyAgainstLowerWeightedFlow) {
     AggregatedNetwork network(topo);
     network.Attach(&state);
     network.Deploy(wl.application(low).containers[0], MachineId(0));
-    RepairEngine repair(network, weights, RepairOptions{});
+    RepairEngine repair(network, weights);
     SearchCounters counters;
     const auto unplaced = repair.Repair({wl.application(high).containers[0]},
                                         SearchOptions{}, counters);
@@ -382,7 +376,7 @@ TEST(Repair, PreemptionOnlyAgainstLowerWeightedFlow) {
     AggregatedNetwork network(topo);
     network.Attach(&state);
     network.Deploy(wl.application(high).containers[0], MachineId(0));
-    RepairEngine repair(network, weights, RepairOptions{});
+    RepairEngine repair(network, weights);
     SearchCounters counters;
     const auto unplaced = repair.Repair({wl.application(low).containers[0]},
                                         SearchOptions{}, counters);
@@ -408,7 +402,7 @@ TEST(Repair, RollbackRestoresStateWhenImpossible) {
   network.Deploy(wl.application(a).containers[0], MachineId(0));
 
   const PriorityWeights weights = ComputeMinimalWeights(wl);
-  RepairEngine repair(network, weights, RepairOptions{});
+  RepairEngine repair(network, weights);
   SearchCounters counters;
   const auto unplaced = repair.Repair({wl.application(b).containers[0]},
                                       SearchOptions{}, counters);
@@ -445,7 +439,7 @@ TEST(Repair, Fig7TwoDimensionalRescheduling) {
                    .valid());
 
   const PriorityWeights weights = ComputeMinimalWeights(wl);
-  RepairEngine repair(network, weights, RepairOptions{});
+  RepairEngine repair(network, weights);
   const auto unplaced = repair.Repair({wl.application(s3).containers[0]},
                                       SearchOptions{}, counters);
   EXPECT_TRUE(unplaced.empty());
@@ -469,7 +463,7 @@ TEST(Repair, CompactionDrainsLightMachines) {
                    MachineId(i));
   }
   const PriorityWeights weights = ComputeMinimalWeights(wl);
-  RepairEngine repair(network, weights, RepairOptions{});
+  RepairEngine repair(network, weights);
   SearchCounters counters;
   const int freed = repair.Compact(SearchOptions{}, counters, 5, 100);
   EXPECT_GE(freed, 2);
@@ -490,7 +484,7 @@ TEST(Repair, CompactionRespectsMigrationBudget) {
                    MachineId(i));
   }
   const PriorityWeights weights = ComputeMinimalWeights(wl);
-  RepairEngine repair(network, weights, RepairOptions{});
+  RepairEngine repair(network, weights);
   SearchCounters counters;
   repair.Compact(SearchOptions{}, counters, 5, /*migration_budget=*/2);
   EXPECT_LE(state.migrations(), 2);
@@ -511,11 +505,73 @@ TEST(Repair, CompactionNeverViolatesConstraints) {
   }
   (void)app;
   const PriorityWeights weights = ComputeMinimalWeights(wl);
-  RepairEngine repair(network, weights, RepairOptions{});
+  RepairEngine repair(network, weights);
   SearchCounters counters;
   repair.Compact(SearchOptions{}, counters, 5, 100);
   EXPECT_TRUE(cluster::CollectColocationViolations(state).empty());
   EXPECT_EQ(state.placed_count(), 6u);
+}
+
+TEST(Repair, SeededOverloadPinsCandidateOrder) {
+  // An overloaded homogeneous cluster (about 120% of its CPU requested)
+  // where repair both migrates and preempts. With 120 machines the
+  // per-attempt candidate budget binds, and most machines tie on free CPU,
+  // so the hash moves if repair tries different machines or tries them in
+  // a different order. The expected values were recorded on the
+  // tree-indexed network and must survive any change of free-CPU index.
+  Rng rng(20261019);
+  Workload wl;
+  std::vector<ApplicationId> apps;
+  for (int i = 0; i < 60; ++i) {
+    const std::int64_t cores = rng.UniformInt(1, 8);
+    const auto count = static_cast<std::size_t>(rng.UniformInt(4, 30));
+    const auto priority = static_cast<cluster::Priority>(rng.UniformInt(0, 2));
+    apps.push_back(wl.AddApplication("app" + std::to_string(i), count,
+                                     ResourceVector::Cores(cores, 2 * cores),
+                                     priority, rng.Bernoulli(0.3)));
+  }
+  for (int i = 0; i < 40; ++i) {
+    const auto a = static_cast<std::size_t>(rng.UniformInt(0, 59));
+    const auto b = static_cast<std::size_t>(rng.UniformInt(0, 59));
+    if (a != b) wl.AddAntiAffinity(apps[a], apps[b]);
+  }
+  const Topology topo = Topology::Uniform(
+      120, ResourceVector::Cores(32, 64), /*machines_per_rack=*/10,
+      /*racks_per_subcluster=*/4);
+  auto state = wl.MakeState(topo);
+  AggregatedNetwork network(topo);
+  network.Attach(&state);
+
+  std::vector<ContainerId> order;
+  for (const auto& c : wl.containers()) order.push_back(c.id);
+  rng.Shuffle(order);
+  std::vector<ContainerId> pending;
+  SearchCounters counters;
+  for (ContainerId c : order) {
+    const MachineId m = network.FindMachine(c, SearchOptions{}, counters);
+    if (m.valid()) {
+      network.Deploy(c, m);
+    } else {
+      pending.push_back(c);
+    }
+  }
+
+  const PriorityWeights weights = ComputeMinimalWeights(wl);
+  RepairEngine repair(network, weights);
+  const auto unplaced =
+      repair.Repair(std::move(pending), SearchOptions{}, counters);
+
+  std::uint64_t hash = 14695981039346656037ull;  // FNV-1a offset
+  for (const auto& c : wl.containers()) {
+    hash ^= static_cast<std::uint32_t>(state.PlacementOf(c.id).value());
+    hash *= 1099511628211ull;
+  }
+  EXPECT_EQ(hash, 16015850056487297728ull);
+  EXPECT_EQ(state.migrations(), 66);
+  EXPECT_EQ(state.preemptions(), 283);
+  EXPECT_EQ(unplaced.size(), 176u);
+  EXPECT_TRUE(state.VerifyResourceInvariant());
+  EXPECT_TRUE(cluster::CollectColocationViolations(state).empty());
 }
 
 // ----------------------------------------------------------- scheduler ----
