@@ -1,8 +1,8 @@
 // Microbenchmarks for the flow substrate (google-benchmark): SPFA vs
 // Bellman–Ford shortest paths, Dinic vs Edmonds–Karp max flow, min-cost
 // max-flow throughput, and multidimensional augmentation, plus the
-// free-capacity index re-key and the k8s tick layers outside the solver
-// (expiry step, EHC drain). Not a paper
+// free-capacity index re-key, the IL memo pool and the k8s tick layers
+// outside the solver (expiry step, EHC drain). Not a paper
 // figure; this pins the solver costs the scheduling-level latency numbers
 // (Fig. 12) are built on.
 #include <benchmark/benchmark.h>
@@ -417,6 +417,42 @@ void BM_FreeIndexRekey(benchmark::State& state) {
   state.SetItemsProcessed(2 * state.iterations());
 }
 BENCHMARK(BM_FreeIndexRekey);
+
+// ------------------------------------------------------ IL memo pool ----
+// One scheduling request's IL memo traffic at the shape of the 10k online
+// workload: 300 apps each record failures on `range(0)` machines of a
+// 10k-machine memo, then the next request's Reset() clears the arrays and
+// returns them to the pool. After the first iteration every handout is a
+// pooled array, so this times the steady-state reset and handout plus the
+// records themselves. An instrumented online_churn run (seed 7) recorded
+// failures for 282 apps per request, on 793 distinct machines per app on
+// average (2,434 at most), hence the 800 arm.
+void BM_IlMemoRecycle(benchmark::State& state) {
+  constexpr std::int64_t kMachines = 10000;
+  constexpr std::size_t kApps = 300;
+  const auto failures = static_cast<std::size_t>(state.range(0));
+  Rng rng(5);
+  std::vector<std::size_t> machines(kApps * failures);
+  for (std::size_t& m : machines) {
+    m = static_cast<std::size_t>(rng.UniformInt(0, kMachines - 1));
+  }
+  core::IlMemo memo(static_cast<std::size_t>(kMachines));
+  memo.Track(kApps);
+  for (auto _ : state) {
+    memo.Reset();
+    for (std::size_t app = 0; app < kApps; ++app) {
+      for (std::size_t f = 0; f < failures; ++f) {
+        memo.Record(app, machines[app * failures + f], 1);
+      }
+    }
+    benchmark::DoNotOptimize(memo.Pruned(kApps - 1, machines.back(), 1));
+    benchmark::ClobberMemory();
+  }
+  state.counters["arrays"] = static_cast<double>(memo.arrays());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kApps * failures));
+}
+BENCHMARK(BM_IlMemoRecycle)->Arg(64)->Arg(800)->Arg(2400);
 
 // ------------------------------------------------ k8s tick layers ----
 // The simulator's per-tick bookkeeping in isolation, at the shape of the

@@ -9,6 +9,8 @@
 // metrics (bindings, audit numbers, obs counters) CI identity-checks across
 // configurations that must not change a placement: shards 0 vs 1,
 // whole-tick batching, the watchdog.
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <array>
 #include <cstdio>
@@ -450,6 +452,14 @@ int main(int argc, char** argv) {
     out.Metric("audit_retired", static_cast<double>(audit.retired), "count");
     out.Metric("audit_colocation_violations",
                static_cast<double>(audit.colocation_violations), "count");
+    // Peak resident set of the whole process, informational (unit MB):
+    // it tracks memory that grows with history, such as the IL memo pool.
+    rusage usage{};
+    if (getrusage(RUSAGE_SELF, &usage) == 0) {
+      out.Metric("peak_rss_mb",
+                 static_cast<double>(usage.ru_maxrss) / 1024.0,  // KiB
+                 "MB");
+    }
     if (obs::IntrospectionPublished()) {
       out.Metric("slo_admitted",
                  static_cast<double>(introspection.slo.admitted), "count");

@@ -17,8 +17,44 @@ std::size_t Idx(T id) {
 }
 }  // namespace
 
+IlMemo::~IlMemo() {
+  ALADDIN_METRIC_GAUGE_ADD("core/il_memo_arrays",
+                           -static_cast<std::int64_t>(pool_.size()));
+}
+
+void IlMemo::Track(std::size_t apps) {
+  // analyze:allow(A103) grows with the app table, once per new app
+  if (by_app_.size() < apps) by_app_.resize(apps, nullptr);
+}
+
+void IlMemo::Record(std::size_t app, std::size_t machine,
+                    std::uint32_t epoch) {
+  std::uint32_t*& memo = by_app_[app];
+  if (memo == nullptr) {
+    if (free_.empty()) {
+      pool_.emplace_back(machines_, 0);
+      free_.push_back(pool_.back().data());
+      ALADDIN_METRIC_GAUGE_ADD("core/il_memo_arrays", 1);
+    }
+    memo = free_.back();
+    free_.pop_back();
+    holders_.push_back(static_cast<std::uint32_t>(app));
+  }
+  memo[machine] = epoch + 1;
+}
+
+void IlMemo::Reset() {
+  for (std::uint32_t app : holders_) {
+    std::uint32_t*& memo = by_app_[app];
+    std::fill_n(memo, machines_, 0U);
+    free_.push_back(memo);
+    memo = nullptr;
+  }
+  holders_.clear();
+}
+
 AggregatedNetwork::AggregatedNetwork(const cluster::Topology& topology)
-    : topology_(&topology) {}
+    : topology_(&topology), il_memo_(topology.machine_count()) {}
 
 void AggregatedNetwork::Attach(cluster::ClusterState* state) {
   ALADDIN_PHASE_SCOPE("core/net_build");
@@ -37,7 +73,8 @@ void AggregatedNetwork::Attach(cluster::ClusterState* state) {
   epoch_.assign(machines, 0);
   rack_max_.assign(topology_->rack_count(), 0);  // analyze:allow(A103) rebuild arm, as above
   subcluster_max_.assign(topology_->subcluster_count(), 0);  // analyze:allow(A103) rebuild arm, as above
-  il_memo_.assign(state->applications().size(), {});  // analyze:allow(A103) rebuild arm, as above
+  il_memo_.Reset();
+  il_memo_.Track(state->applications().size());
   for (const auto& machine : topology_->machines()) {
     std::int64_t& rmax = rack_max_[Idx(machine.rack)];
     rmax = std::max(rmax, IndexedFree(machine.id));
@@ -52,13 +89,11 @@ void AggregatedNetwork::Attach(cluster::ClusterState* state) {
 void AggregatedNetwork::Sync() {
   ALADDIN_CHECK(state_ != nullptr) << "Sync() before Attach()";
   // Applications are append-only while a workload is live; grow the IL
-  // tables so new apps index safely. Existing memos stay valid: a memoised
-  // (app, machine) failure is keyed to the machine's change epoch, and any
-  // machine mutated since the memo was recorded gets its epoch bumped by
-  // the replay below.
-  if (il_memo_.size() < state_->applications().size()) {
-    il_memo_.resize(state_->applications().size());
-  }
+  // table so new apps index safely. A memo held across the replay stays
+  // valid: a memoised (app, machine) failure is keyed to the machine's
+  // change epoch, and any machine mutated since the memo was recorded gets
+  // its epoch bumped by the replay below.
+  il_memo_.Track(state_->applications().size());
   bool overflowed = false;
   const std::span<const cluster::MachineId> dirty =
       state_->DirtySince(dirty_cursor_, &overflowed);
@@ -373,17 +408,12 @@ ALADDIN_HOT std::size_t AggregatedNetwork::PlaceGroupRun(
 
 bool AggregatedNetwork::IlPruned(cluster::ApplicationId app,
                                  cluster::MachineId m) const {
-  const auto& memo = il_memo_[Idx(app)];
-  if (memo.empty()) return false;  // app never recorded a failure
-  return memo[Idx(m)] == epoch_[Idx(m)] + 1;
+  return il_memo_.Pruned(Idx(app), Idx(m), epoch_[Idx(m)]);
 }
 
 void AggregatedNetwork::RecordIlFailure(cluster::ApplicationId app,
                                         cluster::MachineId m) {
-  auto& memo = il_memo_[Idx(app)];
-  // analyze:allow(A103) lazy once-per-app materialisation, then reused
-  if (memo.empty()) memo.assign(topology_->machine_count(), 0);
-  memo[Idx(m)] = epoch_[Idx(m)] + 1;
+  il_memo_.Record(Idx(app), Idx(m), epoch_[Idx(m)]);
 }
 
 cluster::MachineId AggregatedNetwork::FindMachine(cluster::ContainerId c,

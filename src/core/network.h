@@ -17,7 +17,7 @@
 //  * Isomorphism limiting (IL): containers of one application are identical,
 //    so a failed (application, machine) probe is memoised against the
 //    machine's change-epoch and siblings skip the probe while the machine
-//    is unchanged.
+//    is unchanged. The memo lives for one scheduling request.
 //  * Depth limiting (DL): a container's s→T_i edge saturates after one
 //    placement, so the search stops at the *first* admissible machine in
 //    best-fit order instead of enumerating all alternatives.
@@ -54,6 +54,50 @@ struct SearchCounters {
   std::int64_t dl_stops = 0;
 };
 
+// Isomorphism-limiting memo storage: (app, machine) -> machine change epoch
+// at the failed probe, kept for one scheduling request. An app gets a
+// machine-sized array on its first recorded failure of the request (entry =
+// epoch + 1, 0 = no memo), a direct indexed load because the probe sits in
+// every search's inner loop. Arrays come from a pool: Reset() zeroes the
+// ones handed out since the last Reset() and returns them, and the pool
+// allocates only when its free list is empty. Memo memory is thus bounded
+// by the apps that record a failure within one request, not by every app
+// ever seen. An epoch wrap at most *loses* an entry (stored 0 means unset);
+// it never fabricates a prune beyond an exact-equality collision. The
+// registry gauge core/il_memo_arrays sums the arrays of all live pools.
+class IlMemo {
+ public:
+  explicit IlMemo(std::size_t machines) : machines_(machines) {}
+  // The per-app table points into pool_, so a copy would alias its arrays.
+  IlMemo(const IlMemo&) = delete;
+  IlMemo& operator=(const IlMemo&) = delete;
+  ~IlMemo();
+
+  // Sizes the per-app table for app ids below `apps`; never shrinks.
+  void Track(std::size_t apps);
+  [[nodiscard]] bool Pruned(std::size_t app, std::size_t machine,
+                            std::uint32_t epoch) const {
+    const std::uint32_t* memo = by_app_[app];
+    return memo != nullptr && memo[machine] == epoch + 1;
+  }
+  void Record(std::size_t app, std::size_t machine, std::uint32_t epoch);
+  // Request boundary: clears every memo and returns its array to the pool.
+  void Reset();
+  // Arrays the pool holds: its high-water mark of apps holding a memo in
+  // one request.
+  [[nodiscard]] std::size_t arrays() const { return pool_.size(); }
+
+ private:
+  std::size_t machines_;
+  std::vector<std::uint32_t*> by_app_;  // null: no failure this request
+  // Every array ever allocated (the pointers stay valid while pool_ grows:
+  // moving a vector keeps its buffer), the zeroed ones free for handout,
+  // and the apps holding one in this request.
+  std::vector<std::vector<std::uint32_t>> pool_;
+  std::vector<std::uint32_t*> free_;
+  std::vector<std::uint32_t> holders_;
+};
+
 class AggregatedNetwork {
  public:
   explicit AggregatedNetwork(const cluster::Topology& topology);
@@ -73,6 +117,13 @@ class AggregatedNetwork {
   // Attach() to the same state. Replayed machines get a fresh change epoch,
   // so memoised IL failures for them are naturally invalidated.
   void Sync();
+
+  // Starts a new request: the IL memo is request-scoped, so a search sees
+  // the same (empty) memo a freshly attached network would.
+  void ResetIlMemo() { il_memo_.Reset(); }
+  [[nodiscard]] std::size_t il_memo_arrays() const {
+    return il_memo_.arrays();
+  }
 
   // Algorithm 1's getShortestPath for one container: returns the tightest
   // machine admitted by the capacity function, or Invalid. The same machine
@@ -225,11 +276,12 @@ class AggregatedNetwork {
   std::vector<std::uint8_t> group_chunk_fits_;
 
   // IL memo: (app, machine) -> machine epoch at failure. A probe is skipped
-  // while the machine has not changed since the recorded failure. Only
-  // *blacklist* failures are memoised: a resource-fit failure is two integer
-  // compares — cheaper than any lookup — while a blacklist probe walks the
-  // machine's tenant list, which is exactly the cost isomorphic siblings
-  // should not pay twice.
+  // while the machine has not changed since the recorded failure. The
+  // best-fit walks (FindByBestFitWalk, BestFitWalkParallel, PlaceGroupRun)
+  // memoise every failed probe, fit or blacklist: they have already paid
+  // the full capacity check. The enumerations memoise only blacklist
+  // failures, since their fit rejections are cheaper to recompute than to
+  // record.
   [[nodiscard]] bool IlPruned(cluster::ApplicationId app,
                               cluster::MachineId m) const;
   void RecordIlFailure(cluster::ApplicationId app, cluster::MachineId m);
@@ -245,15 +297,7 @@ class AggregatedNetwork {
   std::vector<std::int64_t> rack_max_;
   std::vector<std::int64_t> subcluster_max_;
 
-  // Per-app memo arrays, lazily sized to machine_count on the app's first
-  // recorded failure: entry = machine epoch at failure + 1, 0 = no memo.
-  // A direct indexed load replaces the previous bitset + hash-map pair —
-  // the memo probe sits inside every search's inner loop, and hashing plus
-  // bucket chasing dominated it. 4 bytes/machine is only paid by apps that
-  // actually record a blacklist failure. An epoch wrap at most *loses* a
-  // memo entry (stored 0 means unset) — it never fabricates a prune beyond
-  // the exact-equality collision the hash map already had.
-  mutable std::vector<std::vector<std::uint32_t>> il_memo_;
+  IlMemo il_memo_;
 
   // Absolute cursor into state_'s machine dirty log: everything before it
   // has been reindexed here. The network's own mutation wrappers Reindex

@@ -214,6 +214,7 @@ ALADDIN_HOT sim::ScheduleOutcome AladdinScheduler::ScheduleOne(
   pending.clear();
   {
     ALADDIN_PHASE_SCOPE("core/augment");
+    network.ResetIlMemo();  // the IL memo is request-scoped scratch
     // Sort (weighted flow, arrival position) keys instead of stable-sorting
     // the id list: std::sort on the explicit tie-break reproduces the
     // stable order exactly, computes each container's weighted flow once

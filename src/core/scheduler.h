@@ -95,6 +95,11 @@ class AladdinScheduler : public sim::Scheduler {
   [[nodiscard]] const PriorityWeights& last_weights() const {
     return weights_;
   }
+  // Arrays in the network's IL memo pool; 0 before the first solve. For
+  // tests.
+  [[nodiscard]] std::size_t il_memo_arrays() const {
+    return network_ != nullptr ? network_->il_memo_arrays() : 0;
+  }
 
  private:
   // Returns the network to schedule on: the cached one (synced with the

@@ -275,6 +275,14 @@ void ExportMetrics(BenchJson& out);
       obs_gauge_ref.Set(static_cast<std::int64_t>(value));        \
     }                                                             \
   } while (false)
+#define ALADDIN_METRIC_GAUGE_ADD(name, delta)                     \
+  do {                                                            \
+    if (::aladdin::obs::MetricsEnabled()) {                       \
+      static ::aladdin::obs::Gauge& obs_gauge_ref =               \
+          ::aladdin::obs::Registry::Get().GetGauge(name);         \
+      obs_gauge_ref.Add(static_cast<std::int64_t>(delta));        \
+    }                                                             \
+  } while (false)
 #define ALADDIN_METRIC_OBSERVE(name, unit, value)                 \
   do {                                                            \
     if (::aladdin::obs::MetricsEnabled()) {                       \
@@ -296,6 +304,11 @@ void ExportMetrics(BenchJson& out);
   do {                                               \
     (void)sizeof(name);                              \
     (void)sizeof(value);                             \
+  } while (false)
+#define ALADDIN_METRIC_GAUGE_ADD(name, delta)        \
+  do {                                               \
+    (void)sizeof(name);                              \
+    (void)sizeof(delta);                             \
   } while (false)
 #define ALADDIN_METRIC_OBSERVE(name, unit, value)    \
   do {                                               \
