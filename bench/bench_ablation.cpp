@@ -144,6 +144,8 @@ int main(int argc, char** argv) {
     const auto empty_state = workload.MakeState(topo);
     const core::RelaxationBound bound =
         core::SolveRelaxation(workload, empty_state);
+    const core::RelaxationNetwork net =
+        core::BuildRelaxationNetwork(workload, empty_state);
     core::AladdinScheduler scheduler;
     const sim::RunMetrics m = sim::RunExperiment(scheduler, workload, config);
     // With zero unplaced containers, Aladdin's placed CPU is the demand.
@@ -162,7 +164,7 @@ int main(int argc, char** argv) {
     table.Print();
     std::printf("network size: %zu vertices, %zu edges (the naive "
                 "container-x-machine graph would need %zu edges).\n",
-                bound.vertices, bound.edges,
+                net.graph.vertex_count(), net.edge_count,
                 workload.container_count() * config.machines);
   }
   if (!obs_cli.Finish()) return 1;

@@ -378,9 +378,9 @@ int main(int argc, char** argv) {
                 obs_cli.timeseries_path().c_str());
   }
 
-  // Relaxation-bound witness (outside tick timing): solve the max-flow
-  // relaxation of the final cluster once, so a --trace of this bench also
-  // exercises the flow/ solver phases (core/relax_* -> flow/dinic).
+  // Relaxation-bound witness (outside tick timing): the closed-form
+  // max-flow bound of the final cluster, printed so two runs that made the
+  // same placements print the same line.
   if (obs::CurrentMode() != 0) {
     cluster::ClusterState relax_state =
         sim.adaptor().workload().MakeState(sim.adaptor().topology());

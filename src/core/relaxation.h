@@ -1,13 +1,21 @@
-// The literal Fig. 4 flow network and its max-flow relaxation.
+// The linear relaxation of the Fig. 4 flow network.
 //
 // Aladdin's Algorithm 1 never materialises the full network — it searches
-// it path by path under the nonlinear capacity function. This module builds
-// the network explicitly (source → T_i → A_j → G_k → R_x → N_y → sink, with
-// flow measured in CPU millicores) and solves the *linear relaxation* with
-// the scalar max-flow solver: anti-affinity blacklists and container
-// impartibility (§IV.D: "a container with 4 CPUs cannot be broken down")
-// are ignored, so the resulting flow value is a provable upper bound on the
-// CPU any scheduler can place.
+// it path by path under the nonlinear capacity function. The relaxation
+// drops anti-affinity blacklists and container impartibility (§IV.D: "a
+// container with 4 CPUs cannot be broken down") and measures flow in CPU
+// millicores, so its max-flow value is a provable upper bound on the CPU
+// any scheduler can place.
+//
+// In that network (source → T_i → A_j → G_k → R_x → N_y → sink) only the
+// source arcs (container CPU) and the sink arcs (machine free CPU) are
+// bounded: every application reaches every sub-cluster. The max flow is
+// therefore min(unplaced CPU demand, free CPU of the machines the
+// sub-cluster → rack → machine arcs reach), which SolveRelaxation computes
+// in one pass over the containers and one over the topology.
+// BuildRelaxationNetwork materialises the network itself, for the test
+// oracle (flow::Dinic on it must equal the closed form) and for reporting
+// the network's size.
 //
 // Uses:
 //   * validation — the audited placed-CPU of every scheduler must be <= the
@@ -21,8 +29,6 @@
 
 #include "cluster/state.h"
 #include "flow/graph.h"
-#include "flow/max_flow.h"
-#include "flow/workspace.h"
 #include "trace/workload.h"
 
 namespace aladdin::core {
@@ -31,16 +37,7 @@ struct RelaxationNetwork {
   flow::Graph graph;
   VertexId source;
   VertexId sink;
-  // Arc from the source to each container's T_i vertex (capacity = its CPU
-  // request); arcs(flow) afterwards tell how much of each container the
-  // relaxation placed (fractionally).
-  std::vector<ArcId> container_arcs;
-  // Arc from each machine's N_y vertex to the sink (capacity = free CPU).
-  std::vector<ArcId> machine_arcs;
-  // First A_j vertex; application j's vertex is first_app + j (they are
-  // contiguous). Lets incremental growth wire new T_i vertices in.
-  VertexId first_app;
-  std::size_t edge_count = 0;
+  std::size_t edge_count = 0;  // forward arcs
 };
 
 // Builds the aggregated network against the *current* free capacities of
@@ -54,49 +51,11 @@ struct RelaxationBound {
   std::int64_t placeable_cpu_millis = 0;
   // Total CPU demand of the unplaced containers considered.
   std::int64_t demand_cpu_millis = 0;
-  std::size_t vertices = 0;
-  std::size_t edges = 0;
 };
 
-// Convenience: build + solve (Dinic).
+// The relaxation's max-flow value in closed form; runs no flow solver.
 RelaxationBound SolveRelaxation(const trace::Workload& workload,
                                 const cluster::ClusterState& state);
-
-// Incremental variant: keeps the relaxation network (and its flow) alive
-// across solves against the same workload/state pair. Successive solves
-// update only the arcs whose capacity changed — machine free-CPU arcs in
-// place, container arcs zeroed when placed / re-opened when evicted, new
-// containers appended — cancelling excess flow with flow::CancelArcFlow and
-// warm-starting Dinic from the surviving flow. The bound returned is
-// always identical to a fresh SolveRelaxation (max-flow value is unique);
-// only the work to get there shrinks. Falls back to a full rebuild when
-// the workload's application set or the state object itself changes.
-class IncrementalRelaxation {
- public:
-  RelaxationBound Solve(const trace::Workload& workload,
-                        const cluster::ClusterState& state);
-
-  // True when the last Solve() reused the cached network.
-  [[nodiscard]] bool reused_last() const { return reused_last_; }
-
- private:
-  void Refresh(const trace::Workload& workload,
-               const cluster::ClusterState& state);
-
-  RelaxationNetwork net_;
-  // Long-lived solver scratch: with the network reused across ticks, a
-  // steady-state Solve() (RefreshCapacities + warm Dinic) allocates
-  // nothing. `updates_` stages each tick's capacity retargets for the one
-  // flow::RefreshCapacities micro-batch.
-  flow::Workspace ws_;
-  std::vector<flow::CapacityUpdate> updates_;
-  bool built_ = false;
-  bool reused_last_ = false;
-  std::uint64_t state_instance_ = 0;
-  std::size_t application_count_ = 0;
-  // A_j vertex of application j is app_vertex_base_ + j (fixed at build).
-  std::int32_t app_vertex_base_ = 0;
-};
 
 // CPU millicores actually placed in `state` (for comparing against bounds).
 std::int64_t PlacedCpuMillis(const cluster::ClusterState& state);

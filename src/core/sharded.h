@@ -128,8 +128,8 @@ class ShardedScheduler : public sim::Scheduler {
 
  private:
   // Everything one shard owns: its mirrored state, its solver (with the
-  // solver's incremental network + flow workspace + arena), its journal
-  // capture buffer and its merge bookkeeping.
+  // solver's incremental network + arena), its journal capture buffer and
+  // its merge bookkeeping.
   struct ShardRuntime {
     std::unique_ptr<cluster::ShardView> view;
     std::unique_ptr<AladdinScheduler> solver;

@@ -6,9 +6,6 @@
 //     the only counters allowed to differ are the network-prep ones
 //     (core/net_syncs, core/net_sync_noop, core/weights_cached), because
 //     the batch pays the prep once;
-//   * flow::RefreshCapacities preserves the previous solve's flow as a warm
-//     start whose re-augmented value equals a cold rebuild's, round after
-//     round of capacity churn;
 //   * the group-decomposed waterfall (AladdinOptions::group_waterfall) is a
 //     pure optimisation: identical placements AND search counters with the
 //     knob on or off, including anti-affinity fixtures that force the
@@ -34,8 +31,6 @@
 #include "common/rng.h"
 #include "core/scheduler.h"
 #include "core/task_scheduler.h"
-#include "flow/max_flow.h"
-#include "flow/workspace.h"
 #include "k8s/simulator.h"
 #include "obs/metrics.h"
 #include "obs/runtime.h"
@@ -246,87 +241,6 @@ TEST(ScheduleBatch, WeightsAreCachedAcrossRequests) {
   obs::SetMetricsEnabled(false);
   EXPECT_EQ(CounterValue("core/weights_cached"), cached)
       << "a changed population must recompute";
-}
-
-// -------------------------------------------- warm capacity refreshes ----
-
-flow::Graph LayeredGraph(std::int64_t width, VertexId& source, VertexId& sink,
-                         std::uint64_t seed) {
-  flow::Graph graph;
-  source = graph.AddVertex();
-  sink = graph.AddVertex();
-  const VertexId tasks = graph.AddVertices(static_cast<std::size_t>(width));
-  const VertexId machines =
-      graph.AddVertices(static_cast<std::size_t>(width));
-  Rng rng(seed);
-  for (std::int64_t i = 0; i < width; ++i) {
-    const VertexId t(tasks.value() + static_cast<std::int32_t>(i));
-    graph.AddArc(source, t, rng.UniformInt(1, 8));
-    for (int d = 0; d < 4; ++d) {
-      const VertexId n(machines.value() + static_cast<std::int32_t>(
-                                              rng.UniformInt(0, width - 1)));
-      graph.AddArc(t, n, rng.UniformInt(1, 8));
-    }
-  }
-  for (std::int64_t i = 0; i < width; ++i) {
-    const VertexId n(machines.value() + static_cast<std::int32_t>(i));
-    graph.AddArc(n, sink, rng.UniformInt(2, 16));
-  }
-  return graph;
-}
-
-// The machine -> sink arcs are the last `width` forward arcs, in order.
-std::vector<ArcId> SinkArcs(const flow::Graph& graph, std::int64_t width) {
-  std::vector<ArcId> arcs;
-  const auto first = static_cast<std::int32_t>(graph.arc_count()) - 2 * width;
-  for (std::int64_t i = 0; i < width; ++i) {
-    arcs.emplace_back(static_cast<std::int32_t>(first + 2 * i));
-  }
-  return arcs;
-}
-
-// Warm refresh + re-augment reaches the same maximum flow value as a cold
-// rebuild over the same capacity schedule, for many consecutive rounds.
-TEST(RefreshCapacities, WarmValueMatchesColdRebuildUnderChurn) {
-  constexpr std::int64_t kWidth = 48;
-  VertexId ws_s{}, ws_t{};
-  flow::Graph warm = LayeredGraph(kWidth, ws_s, ws_t, 5);
-  VertexId cold_s{}, cold_t{};
-  flow::Graph cold = LayeredGraph(kWidth, cold_s, cold_t, 5);
-  const std::vector<ArcId> sink_arcs = SinkArcs(warm, kWidth);
-  flow::Workspace ws;
-  flow::Dinic(warm, ws_s, ws_t, ws);
-
-  Rng rng(13);
-  for (int round = 0; round < 12; ++round) {
-    // Unique arcs per batch: duplicate retargets would make the batch
-    // order-sensitive and the idempotence check below meaningless.
-    std::set<std::int32_t> picked;
-    std::vector<flow::CapacityUpdate> updates;
-    while (updates.size() < 6) {
-      const ArcId arc = sink_arcs[static_cast<std::size_t>(
-          rng.UniformInt(0, kWidth - 1))];
-      if (!picked.insert(arc.value()).second) continue;
-      flow::CapacityUpdate update;
-      update.arc = arc;
-      update.capacity = rng.UniformInt(0, 16);
-      updates.push_back(update);
-    }
-    flow::RefreshCapacities(warm, updates, ws_s, ws_t, ws);
-    (void)flow::Dinic(warm, ws_s, ws_t, ws);  // re-augment the frontier
-
-    cold.ResetFlows();
-    for (const flow::CapacityUpdate& update : updates) {
-      cold.SetCapacity(update.arc, update.capacity);
-    }
-    const flow::Capacity cold_value =
-        flow::Dinic(cold, cold_s, cold_t).value;
-    EXPECT_EQ(warm.NetOutflow(ws_s), cold_value) << "round " << round;
-
-    // Re-applying the same targets is a no-op: nothing left to cancel.
-    EXPECT_EQ(flow::RefreshCapacities(warm, updates, ws_s, ws_t, ws), 0)
-        << "round " << round;
-  }
 }
 
 // ------------------------------------------- group waterfall identity ----

@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <string>
 
+#include "baselines/firmament/scheduler.h"
+#include "baselines/gokube/scheduler.h"
+#include "baselines/medea/scheduler.h"
 #include "cluster/audit.h"
 #include "common/rng.h"
 #include "core/capacity.h"
@@ -16,6 +20,7 @@
 #include "core/scheduler.h"
 #include "core/task_scheduler.h"
 #include "core/weights.h"
+#include "flow/max_flow.h"
 #include "sim/experiment.h"
 #include "trace/alibaba_gen.h"
 
@@ -850,9 +855,9 @@ TEST(Relaxation, EdgeCountMatchesPaperBound) {
   EXPECT_LT(net.edge_count, naive / 10);
 }
 
-TEST(Relaxation, AladdinNeverExceedsTheBound) {
-  // Property over seeds: audited placed CPU <= the linear relaxation bound
-  // computed on the same initial state.
+// Property over seeds: the audited placed CPU of every scheduler is <= the
+// linear relaxation bound computed on the same initial state.
+TEST(Relaxation, NoSchedulerExceedsTheBound) {
   for (std::uint64_t seed : {42ull, 7ull, 99ull}) {
     trace::AlibabaTraceOptions options;
     options.scale = 0.02;
@@ -862,14 +867,131 @@ TEST(Relaxation, AladdinNeverExceedsTheBound) {
     const auto empty_state = wl.MakeState(topo);
     const RelaxationBound bound = SolveRelaxation(wl, empty_state);
 
-    AladdinScheduler scheduler;
     const auto arrival =
         trace::MakeArrivalSequence(wl, trace::ArrivalOrder::kRandom);
+    AladdinScheduler aladdin;
+    baselines::FirmamentScheduler firmament;
+    baselines::MedeaScheduler medea;
+    baselines::GoKubeScheduler gokube;
+    for (sim::Scheduler* scheduler : std::initializer_list<sim::Scheduler*>{
+             &aladdin, &firmament, &medea, &gokube}) {
+      auto state = wl.MakeState(topo);
+      sim::ScheduleRequest request{&wl, &arrival};
+      scheduler->Schedule(request, state);
+      const std::int64_t placed = PlacedCpuMillis(state);
+      EXPECT_GT(placed, 0) << scheduler->name() << " seed " << seed;
+      EXPECT_LE(placed, bound.placeable_cpu_millis)
+          << scheduler->name() << " seed " << seed;
+    }
+  }
+}
+
+// The closed form against its definition: flow::Dinic on the materialised
+// Fig. 4 network, which also fixes the demand as the source arcs' capacity.
+// Returns the closed-form bound once both checks ran.
+RelaxationBound BoundCheckedAgainstDinic(const Workload& wl,
+                                         const cluster::ClusterState& state,
+                                         const std::string& label) {
+  const RelaxationBound bound = SolveRelaxation(wl, state);
+  RelaxationNetwork net = BuildRelaxationNetwork(wl, state);
+  flow::Capacity source_capacity = 0;
+  for (std::int32_t raw : net.graph.OutArcs(net.source)) {
+    source_capacity += net.graph.arc(ArcId(raw)).capacity;
+  }
+  EXPECT_EQ(bound.demand_cpu_millis, source_capacity) << label;
+  EXPECT_EQ(bound.placeable_cpu_millis,
+            flow::Dinic(net.graph, net.source, net.sink).value)
+      << label;
+  return bound;
+}
+
+TEST(Relaxation, ClosedFormMatchesFig4Dinic) {
+  // Partially placed Alibaba-like states. The cluster size varies per seed
+  // so both demand-bound and capacity-bound states occur.
+  int demand_bound = 0;
+  int capacity_bound = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    trace::AlibabaTraceOptions options;
+    options.scale = 0.01;
+    options.seed = seed;
+    const Workload wl = trace::GenerateAlibabaLike(options);
+    Rng rng(seed);
+    const Topology topo = trace::MakeAlibabaCluster(
+        static_cast<std::size_t>(rng.UniformInt(10, 120)));
     auto state = wl.MakeState(topo);
-    sim::ScheduleRequest request{&wl, &arrival};
-    scheduler.Schedule(request, state);
-    EXPECT_LE(PlacedCpuMillis(state), bound.placeable_cpu_millis)
-        << "seed " << seed;
+    const double fraction = rng.UniformDouble();
+    const auto machines = static_cast<std::int64_t>(topo.machine_count());
+    for (const auto& c : wl.containers()) {
+      if (!rng.Bernoulli(fraction)) continue;
+      const MachineId m(static_cast<std::int32_t>(rng.UniformInt(0, machines - 1)));
+      if (state.Fits(c.id, m)) state.Deploy(c.id, m);
+    }
+    const RelaxationBound bound =
+        BoundCheckedAgainstDinic(wl, state, "seed " + std::to_string(seed));
+    if (bound.placeable_cpu_millis == bound.demand_cpu_millis) {
+      ++demand_bound;
+    } else {
+      ++capacity_bound;
+    }
+  }
+  EXPECT_GT(demand_bound, 0);
+  EXPECT_GT(capacity_bound, 0);
+
+  {  // Empty workload.
+    const Workload wl;
+    const Topology topo = Topology::Uniform(4, ResourceVector::Cores(32, 64));
+    EXPECT_EQ(
+        BoundCheckedAgainstDinic(wl, wl.MakeState(topo), "empty workload")
+            .placeable_cpu_millis,
+        0);
+  }
+  {  // All containers placed.
+    Workload wl;
+    const auto app = wl.AddApplication("a", 4, ResourceVector::Cores(4, 8));
+    const Topology topo = Topology::Uniform(2, ResourceVector::Cores(32, 64));
+    auto state = wl.MakeState(topo);
+    for (ContainerId c : wl.application(app).containers) {
+      state.Deploy(c, MachineId(0));
+    }
+    EXPECT_EQ(
+        BoundCheckedAgainstDinic(wl, state, "all placed").demand_cpu_millis,
+        0);
+  }
+  {  // Machines with zero free CPU: two of three are full.
+    Workload wl;
+    const auto full = wl.AddApplication("full", 4, ResourceVector::Cores(16, 8));
+    wl.AddApplication("pending", 5, ResourceVector::Cores(8, 16));
+    const Topology topo = Topology::Uniform(3, ResourceVector::Cores(32, 64));
+    auto state = wl.MakeState(topo);
+    const auto& filled = wl.application(full).containers;
+    for (std::size_t i = 0; i < filled.size(); ++i) {
+      state.Deploy(filled[i], MachineId(static_cast<std::int32_t>(i / 2)));
+    }
+    EXPECT_EQ(BoundCheckedAgainstDinic(wl, state, "zero free CPU")
+                  .placeable_cpu_millis,
+              32000);
+  }
+  {  // Heterogeneous AddMachine topology, with an empty sub-cluster and an
+     // empty rack.
+    Topology topo;
+    const auto g0 = topo.AddSubCluster();
+    const auto g1 = topo.AddSubCluster();
+    (void)topo.AddSubCluster();
+    const auto r0 = topo.AddRack(g0);
+    const auto r1 = topo.AddRack(g1);
+    (void)topo.AddRack(g1);
+    topo.AddMachine(r0, ResourceVector::Cores(8, 16));
+    topo.AddMachine(r0, ResourceVector::Cores(64, 256));
+    topo.AddMachine(r1, ResourceVector::Cores(2, 4));
+    for (const std::size_t count : {3u, 80u}) {
+      Workload wl;
+      wl.AddApplication("small", count, ResourceVector::Cores(1, 2));
+      const auto big = wl.AddApplication("big", 2, ResourceVector::Cores(6, 8));
+      auto state = wl.MakeState(topo);
+      state.Deploy(wl.application(big).containers[0], MachineId(0));
+      BoundCheckedAgainstDinic(
+          wl, state, "heterogeneous, " + std::to_string(count) + " small");
+    }
   }
 }
 

@@ -7,9 +7,8 @@
 //   * the pool-backed admissible-path search (AladdinOptions::threads) must
 //     match the serial walk on placements AND search counters, for any
 //     thread count — determinism is part of the API, not best-effort;
-//   * the supporting machinery (dirty log, change journal, instance ids,
-//     CancelArcFlow, IncrementalRelaxation, Dijkstra-with-potentials) must
-//     agree with its from-scratch oracle.
+//   * the supporting machinery (dirty log, change journal, instance ids)
+//     must agree with its from-scratch oracle.
 //
 // These tests run under the asan/tsan presets too; the parallel cases are
 // the TSan workhorse for the search fan-out.
@@ -23,10 +22,8 @@
 
 #include "cluster/audit.h"
 #include "common/rng.h"
-#include "core/relaxation.h"
 #include "core/scheduler.h"
 #include "flow/max_flow.h"
-#include "flow/min_cost_flow.h"
 #include "flow/workspace.h"
 #include "k8s/simulator.h"
 #include "obs/metrics.h"
@@ -523,56 +520,10 @@ TEST(ResolverEquivalence, ParallelResolverMatchesSerial) {
   EXPECT_EQ(FinalBindings(serial), FinalBindings(parallel));
 }
 
-// --------------------------------------------- incremental relaxation ----
-
-TEST(IncrementalRelaxation, BoundMatchesFreshSolveUnderChurn) {
-  const Topology topo =
-      Topology::Uniform(24, ResourceVector::Cores(32, 64), 6, 2);
-  Workload wl;
-  Rng rng(4242);
-  (void)GrowWave(wl, rng, 10);
-  cluster::ClusterState state = wl.MakeState(topo);
-  core::IncrementalRelaxation incremental;
-
-  for (int round = 0; round < 8; ++round) {
-    // Mutate: deploy some unplaced containers, evict some placed ones.
-    for (const auto& c : wl.containers()) {
-      if (!state.IsPlaced(c.id) && rng.Bernoulli(0.4)) {
-        const MachineId m(rng.UniformInt(0, 23));
-        if (state.Fits(c.id, m)) state.Deploy(c.id, m);
-      } else if (state.IsPlaced(c.id) && rng.Bernoulli(0.15)) {
-        state.Evict(c.id);
-      }
-    }
-    if (round == 4) {  // workload growth without an application change
-      for (int i = 0; i < 5; ++i) {
-        wl.AddContainer(ApplicationId(rng.UniformInt(
-            0, static_cast<std::int64_t>(wl.application_count()) - 1)));
-      }
-      state.SyncWorkloadGrowth();
-    }
-    const core::RelaxationBound fresh = core::SolveRelaxation(wl, state);
-    const core::RelaxationBound warm = incremental.Solve(wl, state);
-    EXPECT_EQ(warm.placeable_cpu_millis, fresh.placeable_cpu_millis)
-        << "round " << round;
-    EXPECT_EQ(warm.demand_cpu_millis, fresh.demand_cpu_millis)
-        << "round " << round;
-    if (round > 0) EXPECT_TRUE(incremental.reused_last()) << round;
-  }
-
-  // A new application forces (and survives) a rebuild.
-  wl.AddApplication("late", 2, ResourceVector::Cores(2, 4));
-  state.SyncWorkloadGrowth();
-  const core::RelaxationBound fresh = core::SolveRelaxation(wl, state);
-  const core::RelaxationBound warm = incremental.Solve(wl, state);
-  EXPECT_FALSE(incremental.reused_last());
-  EXPECT_EQ(warm.placeable_cpu_millis, fresh.placeable_cpu_millis);
-}
-
 // ------------------------------------------------------ flow substrate ----
 
 flow::Graph LayeredGraph(std::int64_t width, VertexId& s, VertexId& t,
-                         std::uint64_t seed, bool negative_costs = false) {
+                         std::uint64_t seed) {
   flow::Graph g;
   s = g.AddVertex();
   t = g.AddVertex();
@@ -585,9 +536,7 @@ flow::Graph LayeredGraph(std::int64_t width, VertexId& s, VertexId& t,
     for (int d = 0; d < 4; ++d) {
       const VertexId machine(machines.value() + static_cast<std::int32_t>(
                                                     rng.UniformInt(0, width - 1)));
-      const flow::Cost cost =
-          negative_costs ? rng.UniformInt(-16, 48) : rng.UniformInt(0, 48);
-      g.AddArc(task, machine, rng.UniformInt(1, 8), cost);
+      g.AddArc(task, machine, rng.UniformInt(1, 8), rng.UniformInt(0, 48));
     }
   }
   for (std::int64_t i = 0; i < width; ++i) {
@@ -595,60 +544,6 @@ flow::Graph LayeredGraph(std::int64_t width, VertexId& s, VertexId& t,
     g.AddArc(machine, t, rng.UniformInt(2, 16));
   }
   return g;
-}
-
-TEST(CancelArcFlow, WarmRestartMatchesColdSolveAfterCapacityCuts) {
-  for (const std::uint64_t seed : {1u, 7u, 21u}) {
-    VertexId s, t;
-    flow::Graph warm = LayeredGraph(32, s, t, seed);
-    flow::Graph cold = LayeredGraph(32, s, t, seed);  // identical arc ids
-    flow::Dinic(warm, s, t);
-
-    // Cut the capacity of every 3rd machine->sink arc below its flow.
-    Rng rng(seed * 31 + 1);
-    const auto arcs = static_cast<std::int32_t>(warm.arc_count());
-    for (std::int32_t a = arcs - 64; a < arcs; a += 6) {
-      const ArcId arc(a);
-      const flow::Capacity want = rng.UniformInt(0, 4);
-      if (warm.Flow(arc) > want) {
-        const flow::Capacity excess = warm.Flow(arc) - want;
-        EXPECT_EQ(flow::CancelArcFlow(warm, arc, excess, s, t), excess);
-      }
-      warm.SetCapacity(arc, want);
-      cold.SetCapacity(arc, want);
-      const VertexId exempt[] = {s, t};
-      std::string error;
-      ASSERT_TRUE(warm.ValidateInvariants(exempt, &error)) << error;
-    }
-
-    const flow::Capacity residual_value = flow::Dinic(warm, s, t).value;
-    (void)residual_value;
-    const flow::Capacity cold_value = flow::Dinic(cold, s, t).value;
-    EXPECT_EQ(warm.NetOutflow(s), cold_value) << "seed " << seed;
-  }
-}
-
-TEST(MinCostFlow, DijkstraWithPotentialsMatchesSpfa) {
-  for (const std::uint64_t seed : {3u, 11u, 27u, 40u}) {
-    for (const bool negative : {false, true}) {
-      VertexId s, t;
-      flow::Graph a = LayeredGraph(24, s, t, seed, negative);
-      flow::Graph b = LayeredGraph(24, s, t, seed, negative);
-      const auto spfa = flow::MinCostMaxFlow(a, s, t);
-      flow::MinCostFlowOptions options;
-      options.pathfinder = flow::MinCostFlowOptions::Pathfinder::kDijkstra;
-      const auto dijkstra =
-          flow::MinCostMaxFlow(b, s, t, flow::kInfiniteCapacity, options);
-      EXPECT_FALSE(spfa.negative_cycle);
-      EXPECT_FALSE(dijkstra.negative_cycle);
-      EXPECT_EQ(dijkstra.flow, spfa.flow)
-          << "seed " << seed << " negative=" << negative;
-      EXPECT_EQ(dijkstra.cost, spfa.cost)
-          << "seed " << seed << " negative=" << negative;
-      const VertexId exempt[] = {s, t};
-      EXPECT_TRUE(b.ValidateInvariants(exempt));
-    }
-  }
 }
 
 // ------------------------------------------------ zero-alloc witness ----
@@ -660,11 +555,6 @@ std::int64_t CounterValue(const char* name) {
   return 0;
 }
 
-// The tentpole's acceptance witness: after warmup ticks have grown every
-// solver buffer to its high-water mark, further steady-state ticks must
-// never grow a workspace again (flow/ws_grow flat) while still running
-// solves (flow/ws_reuse advancing). Batch jobs complete after two ticks, so
-// load is stationary — later ticks never exceed the warmup footprint.
 // Solver-level witness: a reused Workspace grows its buffers on the first
 // run over a graph and never again — every later BeginRun lands in the
 // ws_reuse bucket. This is the zero-steady-state-allocation contract at the
@@ -697,11 +587,11 @@ TEST(ZeroAllocSteadyState, WorkspaceGrowthStopsAfterFirstSolve) {
       << "every steady-state solve must land in the reuse bucket";
 }
 
-// Scheduler-level witness: after warmup ticks, further resolver ticks never
-// grow a workspace buffer. (ws_reuse is not asserted here — the resolver
-// invokes the flow solvers only when the relaxation bound actually needs a
-// re-solve, which this small steady scenario may never trigger.)
-TEST(ZeroAllocSteadyState, ResolverTicksStayGrowFlatAfterWarmup) {
+// The resolver runs no flow solver: Aladdin searches its aggregated network
+// directly, so ten resolver ticks of deployments and batch jobs never start
+// a flow::Workspace run (neither counter moves) while the scheduler does
+// work (core/search_explored advances).
+TEST(ZeroAllocSteadyState, ResolverTicksRunNoFlowSolver) {
   obs::Registry::Get().ResetAll();
   obs::SetMetricsEnabled(true);
 
@@ -710,7 +600,7 @@ TEST(ZeroAllocSteadyState, ResolverTicksStayGrowFlatAfterWarmup) {
   k8s::ClusterSimulator sim(options);
   sim.AddNodes(24, cluster::ResourceVector::Cores(32, 64), "node", 4, 2);
 
-  auto run_tick = [&sim](int t) {
+  for (int t = 0; t < 10; ++t) {
     k8s::PodSpec spec;
     spec.requests = cluster::ResourceVector::Cores(2, 4);
     sim.SubmitDeployment("svc-" + std::to_string(t), 3, spec);
@@ -718,17 +608,15 @@ TEST(ZeroAllocSteadyState, ResolverTicksStayGrowFlatAfterWarmup) {
                        cluster::ResourceVector::Cores(1, 2),
                        /*lifetime_ticks=*/2);
     sim.Tick();
-  };
-
-  for (int t = 0; t < 4; ++t) run_tick(t);  // warmup
-
-  const std::int64_t grow_warm = CounterValue("flow/ws_grow");
-  for (int t = 4; t < 10; ++t) run_tick(t);
-  const std::int64_t grow_steady = CounterValue("flow/ws_grow");
+  }
+  const std::int64_t grow = CounterValue("flow/ws_grow");
+  const std::int64_t reuse = CounterValue("flow/ws_reuse");
+  const std::int64_t explored = CounterValue("core/search_explored");
 
   obs::SetMetricsEnabled(false);
-  EXPECT_EQ(grow_steady, grow_warm)
-      << "a steady-state tick grew a workspace buffer";
+  EXPECT_EQ(grow, 0) << "a resolver tick grew a flow workspace";
+  EXPECT_EQ(reuse, 0) << "a resolver tick ran a flow solver";
+  EXPECT_GT(explored, 0) << "the ticks must exercise the scheduler";
 }
 
 }  // namespace

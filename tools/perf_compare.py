@@ -15,9 +15,11 @@ Understands two formats:
   * google-benchmark JSON (--benchmark_out) — "benchmarks" array; real_time
     per benchmark is regression-checked.
 
-Exit status 0 = within bounds; 1 = a metric regressed past --max-ratio or
-an identity metric changed. Metrics present on only one side are reported
-but do not fail the comparison (benches grow new metrics over time).
+Exit status 0 = within bounds; 1 = a metric regressed past --max-ratio,
+an identity metric changed, or a baseline metric is missing from the
+current run (a dropped phase or a mistyped benchmark filter must not pass
+the gate silently). Metrics only the current run has are reported as
+[new] and pass (benches grow new metrics over time).
 
 Absolute-floor guard: time metrics where both sides are below --floor-ms
 (default 1.0) are skipped — sub-millisecond timings on shared CI machines
@@ -27,9 +29,9 @@ Counts-only mode (--counts-only) is the count-identity check between two
 runs of one build that must make the same decisions (batched vs
 sequential, watchdog on vs off, one shard vs unsharded): only unit "count"
 metrics are compared, and nothing is ratio-checked. A metric that may
-legitimately differ is named with --exempt NAME=REASON; the reason is
-mandatory and is printed in the report, so every exception stays
-justified where it is used.
+legitimately differ, or be missing from the second run, is named with
+--exempt NAME=REASON; the reason is mandatory and is printed in the
+report, so every exception stays justified where it is used.
 """
 
 from __future__ import annotations
@@ -93,10 +95,14 @@ def compare(base_values: dict[str, float], base_units: dict[str, str],
     and the audit numbers are placement decisions, not timings), and any
     other unit — "gauge", "rate", histogram units — is informational.
 
+    A baseline metric absent from `cur_values` fails unless it is named in
+    `exempt`; metrics only the current side has pass as [new].
+
     With counts_only, only unit "count" metrics are reported and checked.
-    A count metric named in `exempt` (name -> reason) may differ; its row
-    carries the reason instead of failing. `cur_units` gives the units of
-    metrics only the current side has (counts_only keeps the count ones).
+    A count metric named in `exempt` (name -> reason) may differ or be
+    missing; its row carries the reason instead of failing. `cur_units`
+    gives the units of metrics only the current side has (counts_only
+    keeps the count ones).
 
     Returns (report_lines, failures); empty failures = within bounds. The
     report is an aligned per-metric table (old, new, unit, ratio, verdict)
@@ -110,8 +116,14 @@ def compare(base_values: dict[str, float], base_units: dict[str, str],
         if counts_only and base_units.get(name, "") != "count":
             continue
         if name not in cur_values:
+            if name in exempt:
+                verdict = f"[missing, exempt] {exempt[name]}"
+            else:
+                verdict = "[MISSING]"
+                failures.append(f"{name}: in the baseline, missing from "
+                                "the current run")
             rows.append((name, f"{base_values[name]:g}", "-",
-                         base_units.get(name, ""), "", "[missing]"))
+                         base_units.get(name, ""), "", verdict))
             continue
         base, cur = base_values[name], cur_values[name]
         unit = base_units.get(name, "")
@@ -181,7 +193,8 @@ def main() -> int:
     parser.add_argument("--exempt", action="append", default=[],
                         metavar="NAME=REASON",
                         help="with --counts-only: a count metric allowed to "
-                             "differ, and why (repeatable; reason required)")
+                             "differ or be missing, and why (repeatable; "
+                             "reason required)")
     args = parser.parse_args()
     if args.exempt and not args.counts_only:
         parser.error("--exempt requires --counts-only")

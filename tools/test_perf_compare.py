@@ -95,12 +95,43 @@ class InformationalTest(unittest.TestCase):
         self.assertEqual(failures, [])
         self.assertEqual(sum("[info]" in line for line in lines), 2)
 
-    def test_one_sided_metrics_reported_not_failed(self):
-        lines, failures = run_compare({"old_metric": (1.0, "count")},
-                                      {"new_metric": (2.0, "count")})
+
+class OneSidedMetricsTest(unittest.TestCase):
+    """A baseline metric the current run lacks fails unless exempted (a
+    dropped phase or a mistyped filter must not pass); a metric only the
+    current run has passes as [new]."""
+
+    def test_missing_metric_fails(self):
+        for unit in ("count", "ms", "gauge"):
+            lines, failures = run_compare({"old_metric": (1.0, unit)},
+                                          {"other": (1.0, unit)})
+            self.assertEqual(len(failures), 1, unit)
+            self.assertIn("old_metric", failures[0])
+            self.assertTrue(any("old_metric" in line and "[MISSING]" in line
+                                for line in lines), unit)
+
+    def test_missing_count_fails_in_counts_only_mode(self):
+        _, failures = run_compare({"pods_bound": (7.0, "count")}, {},
+                                  counts_only=True)
+        self.assertEqual(len(failures), 1)
+        self.assertIn("pods_bound", failures[0])
+
+    def test_missing_but_exempt_passes_with_its_reason(self):
+        lines, failures = run_compare(
+            {"pods_bound": (7.0, "count"), "batches_solved": (3.0, "count")},
+            {"pods_bound": (7.0, "count")}, counts_only=True,
+            exempt={"batches_solved": "reported only by batched runs"})
         self.assertEqual(failures, [])
-        self.assertTrue(any("[missing]" in line for line in lines))
-        self.assertTrue(any("[new]" in line for line in lines))
+        self.assertTrue(any("[missing, exempt] reported only by batched runs"
+                            in line for line in lines))
+
+    def test_new_metric_passes(self):
+        lines, failures = run_compare({"pods_bound": (7.0, "count")},
+                                      {"pods_bound": (7.0, "count"),
+                                       "new_metric": (2.0, "count")})
+        self.assertEqual(failures, [])
+        self.assertTrue(any("new_metric" in line and "[new]" in line
+                            for line in lines))
 
 
 class TableFormatTest(unittest.TestCase):
@@ -134,10 +165,10 @@ class TableFormatTest(unittest.TestCase):
 
 
 class BatchMetricsTest(unittest.TestCase):
-    """The ISSUE 9 batch metrics ride the existing policy: the bench-JSON
-    batch counters are identity-checked (batching must not change how many
-    solves a fixed workload takes), and the BM_BatchRefresh* microbench
-    timings are ratio-checked like any google-benchmark entry."""
+    """The batch metrics ride the existing policy: the bench-JSON batch
+    counters are identity-checked (batching must not change how many solves
+    a fixed workload takes), and microbench timings are ratio-checked like
+    any google-benchmark entry."""
 
     def test_batch_counters_are_identity_checked(self):
         _, failures = run_compare(
@@ -148,29 +179,29 @@ class BatchMetricsTest(unittest.TestCase):
         self.assertEqual(len(failures), 1)
         self.assertIn("batches_solved", failures[0])
 
-    def test_batch_refresh_regression_fails(self):
+    def test_microbench_regression_fails(self):
         doc = {"context": {}, "benchmarks": [
-            {"name": "BM_BatchRefreshWarm/4096", "run_type": "iteration",
-             "real_time": 2.0, "time_unit": "ms"},
-            {"name": "BM_GroupWaterfallVsDinic/1", "run_type": "iteration",
+            {"name": "BM_AggregatedNetworkResolve/10000",
+             "run_type": "iteration", "real_time": 2.0, "time_unit": "ms"},
+            {"name": "BM_GroupWaterfallVsWalk/1", "run_type": "iteration",
              "real_time": 40.0, "time_unit": "ms"}]}
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "micro.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
             values, units = perf_compare.load_metrics(path)
         slower = dict(values)
-        slower["BM_BatchRefreshWarm/4096"] = 9.0  # x4.5 past --max-ratio 2
+        slower["BM_AggregatedNetworkResolve/10000"] = 9.0  # x4.5 past 2
         _, failures = perf_compare.compare(values, units, slower,
                                            max_ratio=2.0)
         self.assertEqual(len(failures), 1)
-        self.assertIn("BM_BatchRefreshWarm/4096", failures[0])
+        self.assertIn("BM_AggregatedNetworkResolve/10000", failures[0])
 
-    def test_warm_start_win_reads_as_ok(self):
-        # The expected direction — warm refresh beating the committed
+    def test_microbench_win_reads_as_ok(self):
+        # The expected direction of a perf change — beating the committed
         # baseline — must never fail the gate.
         _, failures = run_compare(
-            {"BM_BatchRefreshWarm/4096": (8.0, "ms")},
-            {"BM_BatchRefreshWarm/4096": (2.0, "ms")}, max_ratio=2.0)
+            {"BM_GroupWaterfallVsWalk/1": (8.0, "ms")},
+            {"BM_GroupWaterfallVsWalk/1": (2.0, "ms")}, max_ratio=2.0)
         self.assertEqual(failures, [])
 
 
